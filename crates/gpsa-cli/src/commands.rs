@@ -547,6 +547,7 @@ fn stats(argv: &[String]) -> Result<(), String> {
             s.cache_len
         ),
     ]);
+    t.row(&["cache spill failures", &s.cache_spill_failures.to_string()]);
     t.row(&["idempotent hits", &s.idempotent_hits.to_string()]);
     t.row(&["jobs replayed at boot", &s.jobs_replayed.to_string()]);
     t.row(&["auto-compactions", &s.auto_compactions.to_string()]);

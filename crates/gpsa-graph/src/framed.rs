@@ -16,16 +16,62 @@ use std::path::Path;
 /// CRC32 (IEEE, reflected) over bytes — the same polynomial the engine's
 /// value file uses for its commit headers.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The same CRC32 fed incrementally: `update` over any split of the input
+/// ends in the value [`crc32`] gives for the whole, so a caller hashing a
+/// large or non-contiguous body needs no staging buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// The state before any byte.
+    pub fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Fold `bytes` into the running checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut crc = self.0;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+/// One table entry per byte value: eight bitwise steps of the reflected
+/// polynomial, done once at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
-}
+    table
+};
 
 /// Frame one record body as a log line: `crc32-hex SP body NL`. The body
 /// must not contain a newline (the framing is line-oriented).
@@ -129,6 +175,24 @@ mod tests {
     fn crc32_known_vector() {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn streaming_crc_equals_one_shot_on_every_split() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1000).map(|b| b ^ 0x5a).collect();
+        let whole = crc32(&data);
+        for cut in [0, 1, 3, 4, 255, 256, 999, 1000] {
+            let mut crc = Crc32::new();
+            crc.update(&data[..cut]);
+            crc.update(&data[cut..]);
+            assert_eq!(crc.finish(), whole, "split at {cut}");
+        }
+        let mut bytewise = Crc32::new();
+        for b in &data {
+            bytewise.update(std::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.finish(), whole);
+        assert_eq!(Crc32::new().finish(), crc32(b""));
     }
 
     #[test]

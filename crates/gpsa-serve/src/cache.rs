@@ -10,12 +10,16 @@
 //! entry capacity.
 //!
 //! With a spill directory attached, the cache also survives restarts:
-//! every insert writes the entry to one JSON file (tmp + rename, named by
-//! an FNV-1a hash of the key), eviction and purging delete the file, and
-//! [`ResultCache::open`] loads whatever the directory holds. The spill is
-//! strictly best-effort — a lost or corrupt entry file is a cache miss,
-//! never an error — and [`ResultCache::retain_valid`] drops restored
-//! entries whose graph epoch no longer matches the restored registry.
+//! [`ResultCache::spill`] writes an entry to one JSON file (tmp + rename,
+//! named by an FNV-1a hash of the key), eviction and purging delete the
+//! file, and [`ResultCache::open`] loads whatever the directory holds.
+//! Inserting and spilling are separate steps so the scheduler can answer
+//! the client between them. The spill is strictly best-effort — a lost,
+//! unwritable or corrupt entry file is a cache miss after a restart,
+//! never an error, and the in-memory entry serves either way — with
+//! failures counted ([`ResultCache::spill_failures`]) for the `stats`
+//! op. [`ResultCache::retain_valid`] drops restored entries whose graph
+//! epoch no longer matches the restored registry.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -88,10 +92,7 @@ impl CacheKey {
 fn outcome_to_json(o: &JobOutcome) -> Json {
     Json::obj()
         .set("value_type", Json::str(o.value_type.as_str()))
-        .set(
-            "values_u32",
-            Json::Arr(o.values_u32.iter().map(|b| Json::num(*b as u64)).collect()),
-        )
+        .set("values_u32", Json::U32s(o.values_u32.clone()))
         .set("supersteps", Json::num(o.supersteps))
         .set("messages", Json::num(o.messages))
         .set("edges_streamed", Json::num(o.edges_streamed))
@@ -104,15 +105,9 @@ fn outcome_to_json(o: &JobOutcome) -> Json {
 }
 
 fn outcome_from_json(j: &Json) -> Option<JobOutcome> {
-    let values = j
-        .get("values_u32")?
-        .as_arr()?
-        .iter()
-        .map(Json::as_u32)
-        .collect::<Option<Vec<u32>>>()?;
     Some(JobOutcome {
         value_type: ValueType::parse(j.get("value_type")?.as_str()?)?,
-        values_u32: Arc::new(values),
+        values_u32: j.get("values_u32")?.to_u32s()?,
         supersteps: j.get("supersteps")?.as_u64()?,
         messages: j.get("messages")?.as_u64()?,
         // Dispatch-I/O counters arrived after the spill format shipped;
@@ -143,6 +138,7 @@ pub struct ResultCache {
     hits: u64,
     misses: u64,
     spill_dir: Option<PathBuf>,
+    spill_failures: u64,
 }
 
 impl ResultCache {
@@ -157,6 +153,7 @@ impl ResultCache {
             hits: 0,
             misses: 0,
             spill_dir: None,
+            spill_failures: 0,
         }
     }
 
@@ -200,19 +197,27 @@ impl ResultCache {
         cache
     }
 
-    fn spill_write(&self, key: &CacheKey, outcome: &JobOutcome) {
-        let Some(dir) = &self.spill_dir else { return };
+    /// Persist the entry under `key` to the spill directory, if there is
+    /// one and the entry is still cached. A failure costs only the
+    /// entry's survival across a restart, so it is counted, not returned.
+    pub fn spill(&mut self, key: &CacheKey) {
+        let (Some(dir), Some(slot)) = (&self.spill_dir, self.slots.get(key)) else {
+            return;
+        };
         let body = Json::obj()
             .set("key", key.to_json())
-            .set("outcome", outcome_to_json(outcome))
+            .set("outcome", outcome_to_json(&slot.outcome))
             .encode();
         let path = dir.join(key.file_name());
         let tmp = path.with_extension("json.tmp");
-        let ok = std::fs::write(&tmp, body.as_bytes())
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_ok();
-        if !ok {
-            eprintln!("gpsa-serve: cannot spill cache entry {}", path.display());
+        let written =
+            std::fs::write(&tmp, body.as_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            self.spill_failures += 1;
+            eprintln!(
+                "gpsa-serve: cannot spill cache entry {}: {e}",
+                path.display()
+            );
         }
     }
 
@@ -238,8 +243,10 @@ impl ResultCache {
         }
     }
 
-    /// Insert a completed outcome, evicting the least-recently-used entry
-    /// if the cache is full. A no-op when capacity is 0.
+    /// Insert a completed outcome in memory, evicting the
+    /// least-recently-used entry (and its spill file) if the cache is
+    /// full. A no-op when capacity is 0. Follow with
+    /// [`ResultCache::spill`] to make the entry survive a restart.
     pub fn put(&mut self, key: CacheKey, outcome: Arc<JobOutcome>) {
         if self.capacity == 0 {
             return;
@@ -256,7 +263,6 @@ impl ResultCache {
                 self.spill_remove(&coldest);
             }
         }
-        self.spill_write(&key, &outcome);
         self.slots.insert(
             key,
             Slot {
@@ -317,6 +323,11 @@ impl ResultCache {
     pub fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// Entries [`ResultCache::spill`] could not write since boot.
+    pub fn spill_failures(&self) -> u64 {
+        self.spill_failures
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +361,12 @@ mod tests {
             retry_attempts: 0,
             phases: Vec::new(),
         })
+    }
+
+    /// What the scheduler does per completed job: insert, then persist.
+    fn put_spilled(c: &mut ResultCache, key: CacheKey, outcome: Arc<JobOutcome>) {
+        c.put(key.clone(), outcome);
+        c.spill(&key);
     }
 
     fn spill_dir(tag: &str) -> PathBuf {
@@ -419,7 +436,8 @@ mod tests {
         let dir = spill_dir("reload");
         {
             let mut c = ResultCache::open(8, dir.clone());
-            c.put(
+            put_spilled(
+                &mut c,
                 key("g", "damping_bits=1062836634,supersteps=5", 2),
                 Arc::new(JobOutcome {
                     value_type: ValueType::F32,
@@ -433,7 +451,7 @@ mod tests {
                     phases: Vec::new(),
                 }),
             );
-            c.put(key("h", "root=3", 1), outcome(9));
+            put_spilled(&mut c, key("h", "root=3", 1), outcome(9));
         }
         let mut c = ResultCache::open(8, dir);
         assert_eq!(c.len(), 2);
@@ -458,11 +476,11 @@ mod tests {
     fn eviction_and_purge_delete_spill_files() {
         let dir = spill_dir("evict");
         let mut c = ResultCache::open(2, dir.clone());
-        c.put(key("g", "a", 1), outcome(1));
-        c.put(key("g", "b", 1), outcome(2));
+        put_spilled(&mut c, key("g", "a", 1), outcome(1));
+        put_spilled(&mut c, key("g", "b", 1), outcome(2));
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         c.get(&key("g", "a", 1));
-        c.put(key("g", "c", 1), outcome(3)); // evicts "b"
+        put_spilled(&mut c, key("g", "c", 1), outcome(3)); // evicts "b"
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         c.purge_graph("g");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
@@ -477,7 +495,7 @@ mod tests {
         let dir = spill_dir("corrupt");
         {
             let mut c = ResultCache::open(4, dir.clone());
-            c.put(key("g", "a", 1), outcome(5));
+            put_spilled(&mut c, key("g", "a", 1), outcome(5));
         }
         std::fs::write(dir.join("e0000000000000000.json"), b"{not json").unwrap();
         let mut c = ResultCache::open(4, dir.clone());
@@ -493,10 +511,10 @@ mod tests {
     fn retain_valid_drops_stale_versions() {
         let dir = spill_dir("retain");
         let mut c = ResultCache::open(8, dir.clone());
-        c.put(key("g", "a", 1), outcome(1));
-        c.put(key("g", "a", 2), outcome(2));
-        c.put(key_seq("g", "a", 2, 3), outcome(4));
-        c.put(key("dead", "a", 1), outcome(3));
+        put_spilled(&mut c, key("g", "a", 1), outcome(1));
+        put_spilled(&mut c, key("g", "a", 2), outcome(2));
+        put_spilled(&mut c, key_seq("g", "a", 2, 3), outcome(4));
+        put_spilled(&mut c, key("dead", "a", 1), outcome(3));
         let versions = HashMap::from([("g".to_string(), (2u64, 3u64))]);
         assert_eq!(c.retain_valid(&versions), 3);
         assert_eq!(c.len(), 1);
@@ -505,5 +523,23 @@ mod tests {
         drop(c);
         let c = ResultCache::open(8, dir);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn an_unwritable_spill_is_counted_and_the_entry_still_serves() {
+        let dir = spill_dir("unwritable");
+        let mut c = ResultCache::open(4, dir.clone());
+        // A regular file where the directory was: every write under it
+        // fails, whoever runs the test.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        put_spilled(&mut c, key("g", "a", 1), outcome(5));
+        assert_eq!(c.spill_failures(), 1);
+        assert_eq!(*c.get(&key("g", "a", 1)).unwrap().values_u32, vec![5]);
+        // Spilling a key that was never inserted (or already evicted) is
+        // not a failure.
+        c.spill(&key("g", "missing", 1));
+        assert_eq!(c.spill_failures(), 1);
+        std::fs::remove_file(&dir).unwrap();
     }
 }

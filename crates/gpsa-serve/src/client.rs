@@ -47,7 +47,7 @@ use crate::job::{AlgorithmSpec, JobOutcome, JobResponse, Priority, ValueType};
 use crate::json::Json;
 use crate::registry::GraphInfo;
 use crate::stats::ServerStats;
-use crate::wire::{chunk_crc, read_frame, read_frame_with_cap, write_frame};
+use crate::wire::{chunk_crc, read_frame, read_frame_with_cap, set_low_latency, write_frame};
 
 /// How a client retries transient failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +244,7 @@ fn resolve<A: ToSocketAddrs>(addr: A) -> io::Result<SocketAddr> {
 
 fn open_stream(addr: SocketAddr) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
+    set_low_latency(&stream)?;
     Ok(stream)
 }
 
@@ -545,13 +545,9 @@ impl Client {
                             values.len()
                         )));
                     }
-                    let chunk: Vec<u32> = frame
-                        .get("values_u32")
-                        .and_then(Json::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .filter_map(Json::as_u32)
-                        .collect();
+                    let Some(chunk) = frame.get("values_u32").and_then(Json::to_u32s) else {
+                        return Err(bad(format!("stream chunk {chunks_seen} has no u32 values")));
+                    };
                     let crc = frame.get("crc").and_then(Json::as_u64).unwrap_or(0) as u32;
                     if chunk_crc(&chunk) != crc {
                         return Err(bad(format!("stream chunk {chunks_seen} failed its CRC")));

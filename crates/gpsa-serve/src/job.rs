@@ -312,18 +312,12 @@ pub struct JobResponse {
 impl JobResponse {
     /// Render as the protocol's success frame.
     pub fn to_json(&self) -> Json {
-        let values: Vec<Json> = self
-            .outcome
-            .values_u32
-            .iter()
-            .map(|b| Json::num(*b as u64))
-            .collect();
         Json::obj()
             .set("ok", Json::Bool(true))
             .set("job_id", Json::num(self.job_id))
             .set("cache_hit", Json::Bool(self.cache_hit))
             .set("value_type", Json::str(self.outcome.value_type.as_str()))
-            .set("values_u32", Json::Arr(values))
+            .set("values_u32", Json::U32s(self.outcome.values_u32.clone()))
             .set("supersteps", Json::num(self.outcome.supersteps))
             .set("messages", Json::num(self.outcome.messages))
             .set("edges_streamed", Json::num(self.outcome.edges_streamed))
@@ -370,13 +364,10 @@ impl JobResponse {
             .and_then(Json::as_str)
             .and_then(ValueType::parse)
             .ok_or_else(|| bad("value_type"))?;
-        let values = j
+        let values_u32 = j
             .get("values_u32")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("values_u32"))?
-            .iter()
-            .map(|v| v.as_u32().ok_or_else(|| bad("values_u32 element")))
-            .collect::<Result<Vec<u32>, ServeError>>()?;
+            .and_then(Json::to_u32s)
+            .ok_or_else(|| bad("values_u32"))?;
         let u = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
         let phases = j
             .get("phases")
@@ -384,8 +375,7 @@ impl JobResponse {
             .map(|rows| {
                 rows.iter()
                     .filter_map(|row| {
-                        let row = row.as_arr()?;
-                        let n = |i: usize| row.get(i).and_then(Json::as_u64);
+                        let n = |i: usize| row.u64_at(i);
                         Some(gpsa::PhaseBreakdown {
                             dispatch_us: n(0)?,
                             fold_us: n(1)?,
@@ -401,7 +391,7 @@ impl JobResponse {
             cache_hit: j.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
             outcome: Arc::new(JobOutcome {
                 value_type,
-                values_u32: Arc::new(values),
+                values_u32,
                 supersteps: u("supersteps"),
                 messages: u("messages"),
                 edges_streamed: u("edges_streamed"),

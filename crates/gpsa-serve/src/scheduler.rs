@@ -506,6 +506,7 @@ impl Scheduler {
             jobs_quota_shed: self.jobs_quota_shed,
             jobs_cancelled: self.jobs_cancelled,
             auto_compactions: self.auto_compactions,
+            cache_spill_failures: self.cache.spill_failures(),
             tenants,
         }
     }
@@ -871,7 +872,7 @@ impl Scheduler {
                 return;
             }
         }
-        match result {
+        let committed = match result {
             Ok(outcome) => {
                 self.journal_append(&JournalRecord::Committed {
                     job_id: ticket.job_id,
@@ -885,8 +886,9 @@ impl Scheduler {
                 self.cache.put(key.clone(), outcome.clone());
                 let mut waiters = Vec::new();
                 if let Some(k) = &ticket.spec.idempotency_key {
-                    if let Some(IdemState::InFlight { waiters: w }) =
-                        self.idem.insert(k.clone(), IdemState::Completed { key })
+                    if let Some(IdemState::InFlight { waiters: w }) = self
+                        .idem
+                        .insert(k.clone(), IdemState::Completed { key: key.clone() })
                     {
                         waiters = w;
                     }
@@ -907,10 +909,22 @@ impl Scheduler {
                     let _ = w.send((Ok(resp.clone()), stats.clone()));
                 }
                 let _ = ticket.reply.send((Ok(resp), stats));
+                Some(key)
             }
-            Err(err) => self.resolve_failure(&ticket, err),
-        }
+            Err(err) => {
+                self.resolve_failure(&ticket, err);
+                None
+            }
+        };
         self.drain_queue();
+        // Everyone waiting has the answer and the freed runner has its
+        // next job before the entry is rendered to disk. A crash in
+        // between loses only the spill file: the journal already says
+        // `Committed`, and a committed key whose entry is missing at boot
+        // is simply re-run.
+        if let Some(key) = committed {
+            self.cache.spill(&key);
+        }
     }
 
     /// Apply a delta batch: refuse while the graph is compacting (the

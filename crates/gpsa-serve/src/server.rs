@@ -52,6 +52,9 @@
 //!
 //! ## Socket hygiene
 //!
+//! Accepted sockets get the same options the client sets on its end
+//! ([`crate::wire::set_low_latency`]), and every frame is one write.
+//!
 //! A connection may idle between frames forever, but once a request frame
 //! *starts* arriving it must finish within
 //! [`ServeConfig::frame_read_timeout`]: the first length byte is read
@@ -80,7 +83,7 @@ use crate::json::Json;
 use crate::registry::GraphInfo;
 use crate::scheduler::{Scheduler, SchedulerMsg};
 use crate::stats::ServerStats;
-use crate::wire::{chunk_crc, read_frame_resumed, write_frame};
+use crate::wire::{chunk_crc, read_frame_resumed, set_low_latency, write_frame};
 
 /// How often a connection thread blocked on a job reply checks whether
 /// its client is still there.
@@ -217,6 +220,7 @@ enum Action {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Shared) {
+    let _ = set_low_latency(&stream);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     // Submissions that name no tenant bill against the connection itself,
     // so one anonymous flooder can't crowd out other anonymous clients.
@@ -699,10 +703,7 @@ fn write_stream(stream: &mut TcpStream, resp: &JobResponse, shared: &Shared) -> 
             .set("seq", Json::num(seq as u64))
             .set("offset", Json::num((seq * chunk_values) as u64))
             .set("crc", Json::num(chunk_crc(chunk) as u64))
-            .set(
-                "values_u32",
-                Json::Arr(chunk.iter().map(|v| Json::num(*v as u64)).collect()),
-            );
+            .set("values_u32", Json::U32s(Arc::new(chunk.to_vec())));
         write_frame(stream, &frame)?;
         n_chunks += 1;
     }

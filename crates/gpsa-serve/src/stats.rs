@@ -114,6 +114,10 @@ pub struct ServerStats {
     /// Compactions the scheduler started on its own authority because a
     /// graph's delta/base edge ratio crossed the configured threshold.
     pub auto_compactions: u64,
+    /// Cache entries the server could not write to its spill directory
+    /// since boot. Each is still served from memory; it only will not
+    /// survive a restart.
+    pub cache_spill_failures: u64,
     /// Per-tenant breakdown, sorted by tenant id.
     pub tenants: Vec<TenantStats>,
 }
@@ -131,7 +135,7 @@ impl ServerStats {
 
     /// Render as the protocol's `"stats"` object.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let j = Json::obj()
             .set("jobs_submitted", Json::num(self.jobs_submitted))
             .set("jobs_completed", Json::num(self.jobs_completed))
             .set("jobs_rejected", Json::num(self.jobs_rejected))
@@ -158,7 +162,15 @@ impl ServerStats {
             .set(
                 "tenants",
                 Json::Arr(self.tenants.iter().map(TenantStats::to_json).collect()),
-            )
+            );
+        // Written only when non-zero: a healthy server's frames stay
+        // byte-for-byte what they were before the counter existed, and
+        // `from_json` reads an absent counter as 0.
+        if self.cache_spill_failures > 0 {
+            j.set("cache_spill_failures", Json::num(self.cache_spill_failures))
+        } else {
+            j
+        }
     }
 
     /// Parse a `"stats"` object (the client-side inverse of
@@ -186,6 +198,7 @@ impl ServerStats {
             jobs_quota_shed: u("jobs_quota_shed"),
             jobs_cancelled: u("jobs_cancelled"),
             auto_compactions: u("auto_compactions"),
+            cache_spill_failures: u("cache_spill_failures"),
             tenants: j
                 .get("tenants")
                 .and_then(Json::as_arr)
@@ -227,6 +240,7 @@ mod tests {
             jobs_quota_shed: 3,
             jobs_cancelled: 2,
             auto_compactions: 1,
+            cache_spill_failures: 2,
             tenants: vec![
                 TenantStats {
                     tenant: "alpha".to_string(),
@@ -247,6 +261,10 @@ mod tests {
             ],
         };
         assert_eq!(ServerStats::from_json(&s.to_json()), s);
+        assert!(ServerStats::default()
+            .to_json()
+            .get("cache_spill_failures")
+            .is_none());
         assert!((s.cache_hit_rate() - 3.0 / 9.0).abs() < 1e-12);
         assert_eq!(ServerStats::default().cache_hit_rate(), 0.0);
         assert_eq!(s.tenant("alpha").unwrap().queued, 2);

@@ -11,6 +11,12 @@
 //! +----------------+---------------------------+
 //! ```
 //!
+//! A frame reaches the kernel as **one** write, length prefix and body
+//! together, on a socket with `TCP_NODELAY` ([`set_low_latency`], the one
+//! place either end sets socket options). Written as prefix-then-body on
+//! a Nagle socket, the body's last partial segment waits for the peer's
+//! delayed ACK — 40 ms added to every reply, measured.
+//!
 //! The `*_with_cap` variants take the frame cap as a parameter; the
 //! public [`read_frame`] / [`write_frame`] pair fixes it at
 //! [`MAX_FRAME_BYTES`]. [`read_frame_resumed`] picks up a frame whose
@@ -19,6 +25,9 @@
 //! only arms its per-frame read timeout once a frame has started.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+
+use gpsa_graph::framed::Crc32;
 
 use crate::json::Json;
 
@@ -30,27 +39,34 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 /// integrity check on streamed results, shared by server (stamping) and
 /// client (verifying) so the two can never drift.
 pub fn chunk_crc(values: &[u32]) -> u32 {
-    let mut bytes = Vec::with_capacity(values.len() * 4);
+    let mut crc = Crc32::new();
     for v in values {
-        bytes.extend_from_slice(&v.to_le_bytes());
+        crc.update(&v.to_le_bytes());
     }
-    gpsa_graph::framed::crc32(&bytes)
+    crc.finish()
+}
+
+/// Socket options for a protocol connection, applied by the client when
+/// it connects and by the server when it accepts. Frames are written
+/// whole, so Nagle's algorithm could only ever delay one.
+pub fn set_low_latency(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Write one frame, enforcing `cap` on the body size.
 pub fn write_frame_with_cap<W: Write>(w: &mut W, msg: &Json, cap: usize) -> io::Result<()> {
-    let body = msg.encode();
-    if body.len() > cap {
+    let mut frame = vec![0u8; 4];
+    msg.encode_into(&mut frame);
+    let body_len = frame.len() - 4;
+    // The prefix is a u32, whatever cap the caller passed.
+    if body_len > cap.min(u32::MAX as usize) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "frame of {} bytes exceeds the {cap}-byte protocol cap",
-                body.len()
-            ),
+            format!("frame of {body_len} bytes exceeds the {cap}-byte protocol cap"),
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    frame[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -141,6 +157,33 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(a));
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(b));
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_reaches_the_writer_in_one_write() {
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let msg = Json::obj().set("values_u32", Json::U32s(vec![7; 100_000].into()));
+        let mut w = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, &msg).unwrap();
+        assert_eq!(w.writes, 1, "prefix and body must not be separate writes");
+        let mut cursor = std::io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some(msg));
     }
 
     #[test]

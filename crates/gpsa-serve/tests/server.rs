@@ -217,3 +217,74 @@ fn unknown_graph_and_bad_algorithm_are_typed_errors() {
     // The connection survives typed errors.
     client.ping().unwrap();
 }
+
+/// The reply leaves before the cache entry is written to disk, so a spill
+/// that fails — or never happens, the crash-between-the-two case — costs
+/// nothing but a re-run after restart: the client already holds the right
+/// answer, repeats are served from memory while the server lives, and a
+/// restarted server answers the same idempotency key bit-identically.
+///
+/// The spill is made to fail by putting a regular file where the spill
+/// directory belongs, which no privilege overrides (a read-only directory
+/// does not stop root, and the tests may run as root).
+#[test]
+fn a_failed_spill_costs_only_a_rerun_after_restart() {
+    let dir = test_dir("spill");
+    let csr = build_csr(&dir, "g", generate::erdos_renyi(500, 2500, 5));
+    let alg = AlgorithmSpec::PageRank {
+        damping: 0.85,
+        supersteps: 6,
+    };
+    let want = direct_bits(&alg, &csr, &dir.join("direct"));
+    let work = dir.join("serve");
+    let serve_config = || {
+        ServeConfig::small(&work)
+            .with_max_concurrent_jobs(1)
+            .with_engine(engine_template(&work))
+    };
+    let keyed = SubmitRequest::new("g", alg).with_idempotency_key("spill-k1");
+
+    {
+        let spill_dir = serve_config().cache_spill_dir();
+        let mut handle = start(serve_config()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.register_graph("g", csr.to_str().unwrap()).unwrap();
+        std::fs::remove_dir_all(&spill_dir).unwrap();
+        std::fs::write(&spill_dir, b"in the way").unwrap();
+
+        let first = client.submit(&keyed).unwrap();
+        assert!(!first.cache_hit);
+        assert_eq!(*first.outcome.values_u32, want);
+        assert_eq!(
+            first.stats.cache_spill_failures, 0,
+            "the reply is composed before the spill is attempted"
+        );
+        // The scheduler handles one message at a time, so by the time it
+        // answers `stats` it has finished the job's `Done`, spill included.
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.cache_spill_failures, 1);
+        assert_eq!(stats.jobs_failed, 0);
+        assert_eq!(stats.cache_len, 1, "the entry lives in memory");
+
+        let again = client
+            .submit(&SubmitRequest::new("g", alg).with_stream())
+            .unwrap();
+        assert!(again.cache_hit, "an unspilled entry still serves");
+        assert_eq!(*again.outcome.values_u32, want);
+        handle.shutdown();
+    }
+
+    // Second life: the journal says the key committed, no spill file backs
+    // it, so the key is re-run — to the same bits.
+    let mut handle = start(serve_config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.graphs_resident, stats.cache_len, stats.jobs_replayed),
+        (1, 0, 0)
+    );
+    let replay = client.submit(&keyed).unwrap();
+    assert!(!replay.cache_hit, "nothing survived to hit");
+    assert_eq!(*replay.outcome.values_u32, want);
+    handle.shutdown();
+}
