@@ -269,29 +269,6 @@ fn bench_overlap(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_combiner(c: &mut Criterion) {
-    // Pregel-style message combining (DESIGN.md extension): same-dst
-    // messages within a batch are merged at the dispatcher before hitting
-    // compute mailboxes. Hub-heavy R-MAT graphs give real combining work.
-    let el = gpsa_bench::dataset_edges(Dataset::Google, 512);
-    let mut g = c.benchmark_group("message_combining_cc");
-    g.sample_size(10);
-    for (tag, combine) in [("combiner_on", true), ("combiner_off", false)] {
-        g.bench_function(tag, |b| {
-            let mut config = EngineConfig::new(workdir(tag));
-            config.combine_messages = combine;
-            config.msg_batch = 4096;
-            let engine = Engine::new(config);
-            b.iter(|| {
-                engine
-                    .run_edge_list(el.clone(), "g", gpsa::programs::ConnectedComponents)
-                    .unwrap()
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_chunked_dispatch(c: &mut Criterion) {
     // Tentpole ablation: cooperative ~N-edge dispatch chunks + recycled
     // message slabs vs one monolithic activation per dispatcher. With more
@@ -336,7 +313,6 @@ criterion_group!(
     bench_csr_degree_inlining,
     bench_mmap_vs_read,
     bench_overlap,
-    bench_combiner,
     bench_chunked_dispatch
 );
 criterion_main!(benches);

@@ -7,11 +7,16 @@
 //! | `table1` | Table I (datasets) + §VI-B CSR compression numbers |
 //! | `figures` | Figs. 7–10 (PR/CC/BFS × three engines per graph) |
 //! | `fig11_cpu` | Fig. 11 (CPU utilization per engine) |
+//! | `scalability` | per-superstep time vs worker threads |
+//! | `bench_dist_recovery` | distributed recovery latency and barrier-commit overhead (`--features chaos`, self-gating) |
 //!
-//! Criterion benches (`benches/`): actor-runtime overhead, per-engine
-//! superstep microbenches, and ablations of GPSA's design choices
-//! (flag skipping, partitioning strategies, CSR degree inlining,
-//! mmap vs explicit reads).
+//! Criterion bench (`benches/ablations.rs`): ablations of GPSA's design
+//! choices (flag skipping, partitioning strategies, CSR degree inlining,
+//! mmap vs explicit reads, dispatch/compute overlap, chunked dispatch).
+//!
+//! Performance claims are judged by the repository benchmark under
+//! `benchmark/` (five workloads, COST-anchored end-to-end metrics), not
+//! by these binaries.
 //!
 //! Knobs (flags on the binaries, env vars for the benches):
 //! `--scale N` / `GPSA_SCALE` — dataset divisor vs Table I (default 256);
@@ -194,27 +199,9 @@ pub fn run_one(
     measure_cpu: bool,
 ) -> std::io::Result<Measurement> {
     let el = dataset_edges(ds, cfg.scale);
-    run_on_edges(
-        &el,
-        &format!("{}-s{}", ds.name(), cfg.scale),
-        algo,
-        kind,
-        cfg,
-        measure_cpu,
-    )
-}
-
-/// Run one engine × algo on an explicit edge list.
-pub fn run_on_edges(
-    el: &EdgeList,
-    tag: &str,
-    algo: Algo,
-    kind: EngineKind,
-    cfg: &HarnessConfig,
-    measure_cpu: bool,
-) -> std::io::Result<Measurement> {
+    let tag = format!("{}-s{}", ds.name(), cfg.scale);
     std::fs::create_dir_all(&cfg.data_dir)?;
-    let root = bfs_root(el);
+    let root = bfs_root(&el);
     let mut mean_steps = Vec::new();
     let mut totals = Vec::new();
     let mut supersteps = 0u64;
@@ -227,9 +214,9 @@ pub fn run_on_edges(
             None
         };
         let (times, steps) = match kind {
-            EngineKind::Gpsa => run_gpsa(el, tag, algo, root, cfg, run)?,
-            EngineKind::GraphChi => run_psw(el, algo, root, cfg, run)?,
-            EngineKind::XStream => run_xs(el, algo, root, cfg, run)?,
+            EngineKind::Gpsa => run_gpsa(&el, &tag, algo, root, cfg, run)?,
+            EngineKind::GraphChi => run_psw(&el, algo, root, cfg, run)?,
+            EngineKind::XStream => run_xs(&el, algo, root, cfg, run)?,
         };
         if let Some(m) = monitor {
             cpu = Some(m.finish());

@@ -69,10 +69,6 @@ pub(crate) struct Computer<P: VertexProgram> {
     pub pool: Arc<MsgSlabPool<P::MsgVal>>,
     /// Superstep overlap statistics (time-to-first-batch).
     pub stats: Arc<OverlapStats>,
-    /// Route batches through the program's [`VertexProgram::fold_batch`]
-    /// kernel; `false` forces the scalar per-message oracle
-    /// ([`FoldCtx::fold_scalar_slab`]) for A/B testing.
-    pub batch_fold: bool,
     /// Wall-clock µs spent folding this superstep (reported with
     /// COMPUTE_OVER for the phase breakdown).
     pub fold_us: u64,
@@ -82,7 +78,6 @@ pub(crate) struct Computer<P: VertexProgram> {
 }
 
 impl<P: VertexProgram> Computer<P> {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         program: Arc<P>,
         values: Arc<ValueFile>,
@@ -91,7 +86,6 @@ impl<P: VertexProgram> Computer<P> {
         owned: Vec<VertexId>,
         pool: Arc<MsgSlabPool<P::MsgVal>>,
         stats: Arc<OverlapStats>,
-        batch_fold: bool,
     ) -> Self {
         Computer {
             program,
@@ -103,24 +97,20 @@ impl<P: VertexProgram> Computer<P> {
             owned,
             pool,
             stats,
-            batch_fold,
             fold_us: 0,
             #[cfg(feature = "chaos")]
             fault: None,
         }
     }
 
-    /// Fold one slab of runs into the update column — the per-message
+    /// Fold one slab of runs into the update column through the program's
+    /// batch kernel ([`VertexProgram::fold_batch`]) — the per-message
     /// first-message protocol itself lives in [`FoldCtx`], shared between
-    /// the scalar oracle and the batch kernels.
+    /// the kernels and the scalar oracle they are tested against.
     fn fold_slab(&mut self, update_col: u32, slab: &MsgSlab<P::MsgVal>) {
         let fold_start = Instant::now();
         let mut ctx = FoldCtx::new(&self.values, &self.meta, update_col, &mut self.dirty);
-        if self.batch_fold {
-            self.program.fold_batch(slab, &mut ctx);
-        } else {
-            ctx.fold_scalar_slab(&*self.program, slab);
-        }
+        self.program.fold_batch(slab, &mut ctx);
         self.messages += slab.len() as u64;
         self.fold_us += fold_start.elapsed().as_micros() as u64;
     }

@@ -76,8 +76,6 @@ pub struct EngineConfig {
     pub n_computers: usize,
     /// Kernel worker threads multiplexing all actors.
     pub workers: usize,
-    /// Actor-runtime fairness batch (messages per activation).
-    pub actor_batch: usize,
     /// `(dst, msg)` pairs per batch sent dispatcher → computer.
     pub msg_batch: usize,
     /// Edges (CSR body words) per cooperative dispatch chunk. Each
@@ -101,21 +99,6 @@ pub struct EngineConfig {
     pub durable: bool,
     /// Resume from an existing value file instead of reinitializing.
     pub resume: bool,
-    /// Test hook: simulate a crash right after the dispatch phase of this
-    /// superstep.
-    pub crash_after_dispatch: Option<u64>,
-    /// Test hook: simulate a crash in the middle of the compute phase of
-    /// this superstep (after the first computer finishes, before the
-    /// superstep commits).
-    pub crash_in_compute: Option<u64>,
-    /// Combine same-destination messages per batch when the program
-    /// supports it ([`crate::VertexProgram::combines`]). Off by default
-    /// since run emission landed: merging at push time forces the
-    /// dispatcher back onto a per-destination loop, which costs more than
-    /// the duplicate folds it saves now that slabs are emitted as bulk
-    /// `(dst_run, msg)` copies and folded by batch kernels. Worth
-    /// re-enabling only when cross-actor message volume dominates.
-    pub combine_messages: bool,
     /// How dispatchers read their interval: dense sweep, sparse
     /// bitmap-driven seeks, or a per-superstep density-based choice.
     pub dispatch_mode: DispatchMode,
@@ -134,18 +117,16 @@ pub struct EngineConfig {
     /// fleet re-spawn, with exponential backoff) the engine makes before
     /// giving up and surfacing the causes in the error.
     pub max_superstep_retries: u32,
-    /// Fold message slabs through the program's batch kernel
-    /// ([`crate::VertexProgram::fold_batch`]). `false` forces the scalar
-    /// per-message oracle — the two are bit-identical by contract, so
-    /// this exists for A/B benchmarking and the equivalence test suite.
-    pub batch_fold: bool,
     /// Advise the kernel to back the CSR and value-file mappings with
     /// transparent huge pages (`madvise(MADV_HUGEPAGE)`). Best-effort:
     /// ignored where unsupported. Off by default — THP compaction stalls
     /// can hurt small runs; worth flipping for multi-GB graphs.
     pub hugepages: bool,
     /// Chaos harness: scripted fault injections consulted by the
-    /// dispatcher/computer/manager hooks and `ValueFile::commit`.
+    /// dispatcher/computer/manager hooks and `ValueFile::commit`,
+    /// including the simulated crashes
+    /// ([`crate::fault::FaultSpec::CrashAfterDispatch`],
+    /// [`crate::fault::FaultSpec::CrashInCompute`]).
     #[cfg(feature = "chaos")]
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
 }
@@ -164,7 +145,6 @@ impl EngineConfig {
             n_dispatchers: (cores / 2).max(1),
             n_computers: (cores / 2).max(1),
             workers: cores,
-            actor_batch: 64,
             msg_batch: 4096,
             dispatch_chunk: 32_768,
             termination: Termination::Quiescence {
@@ -175,14 +155,10 @@ impl EngineConfig {
             work_dir: work_dir.as_ref().to_path_buf(),
             durable: false,
             resume: false,
-            crash_after_dispatch: None,
-            crash_in_compute: None,
-            combine_messages: false,
             dispatch_mode: DispatchMode::Auto,
             sparse_density_threshold: 0.05,
             superstep_deadline: None,
             max_superstep_retries: 2,
-            batch_fold: true,
             hugepages: false,
             #[cfg(feature = "chaos")]
             fault_plan: None,
@@ -257,13 +233,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: enable or disable the batch fold kernels (`true`
-    /// is the default; `false` runs the scalar per-message oracle).
-    pub fn with_batch_fold(mut self, on: bool) -> Self {
-        self.batch_fold = on;
-        self
-    }
-
     /// Builder-style: request transparent-hugepage backing for the CSR
     /// and value-file mappings.
     pub fn with_hugepages(mut self, on: bool) -> Self {
@@ -294,11 +263,8 @@ mod tests {
         assert!(!c.durable);
         assert_eq!(c.dispatch_mode, DispatchMode::Auto);
         assert!(c.sparse_density_threshold > 0.0 && c.sparse_density_threshold < 1.0);
-        assert!(c.batch_fold);
         assert!(!c.hugepages);
-        let c = c.with_batch_fold(false).with_hugepages(true);
-        assert!(!c.batch_fold);
-        assert!(c.hugepages);
+        assert!(c.with_hugepages(true).hugepages);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! record is decoded **directly into the slab's destination column**
 //! (`take_rec_into`), and flagged records are skipped without decoding at
 //! all (`skip_rec`). Buffers are recycled through the shared
-//! [`MsgSlabPool`](crate::MsgSlabPool) rather than allocated per flush,
-//! and when combining is enabled same-destination messages are merged at
-//! push time by an adjacent-duplicate check that exploits CSR source
-//! ordering instead of sorting every batch.
+//! [`MsgSlabPool`](crate::MsgSlabPool) rather than allocated per flush.
+//! Same-destination messages are not combined here: run emission plus
+//! the batch fold kernels made the duplicate folds cheaper than any
+//! per-destination merge at push time (EXPERIMENTS.md, "fold_kernels").
 //!
 //! ## Sparse (frontier-driven) dispatch
 //!
@@ -152,9 +152,6 @@ pub(crate) struct Dispatcher<P: VertexProgram> {
     /// Dispatch every vertex regardless of its flag (dense programs like
     /// PageRank; see `VertexProgram::always_dispatch`).
     pub always_dispatch: bool,
-    /// Merge same-destination messages per batch before sending
-    /// (`VertexProgram::combines` && config opt-in).
-    pub combine: bool,
     /// Chaos harness: scripted dispatcher panics (per-chunk check).
     #[cfg(feature = "chaos")]
     pub fault: Option<Arc<crate::fault::FaultPlan>>,
@@ -182,24 +179,9 @@ impl<P: VertexProgram> Dispatcher<P> {
     }
 
     /// Append one dispatched record's messages to the outgoing buffers:
-    /// a whole run per owner in run mode, or per-destination combining
-    /// pushes when the program combines. Combining merges *adjacent*
-    /// duplicates only — the buffer fills in CSR scan order, so one
-    /// source's parallel edges and consecutive sources hitting the same
-    /// destination merge without sorting; non-adjacent duplicates still
-    /// fold correctly at the computer. Combining is an optimization,
-    /// never required for correctness.
+    /// one run per owner, the record's targets split by the router.
     fn emit(&mut self, targets: &[VertexId], msg: P::MsgVal, update_col: u32, sent: &mut u64) {
-        if self.combine {
-            let program = self.program.clone();
-            for &dst in targets {
-                let owner = self.router.route(dst);
-                self.buffers[owner].push_combined(dst, msg, |a, b| program.combine(a, b));
-                if self.buffers[owner].len() >= self.msg_batch {
-                    *sent += self.flush_buffer(owner, update_col);
-                }
-            }
-        } else if self.computers.len() == 1 {
+        if self.computers.len() == 1 {
             self.buffers[0].extend_run(targets, msg);
             if self.buffers[0].len() >= self.msg_batch {
                 *sent += self.flush_buffer(0, update_col);
@@ -374,7 +356,7 @@ impl<P: VertexProgram> Dispatcher<P> {
                 // the outgoing slab's destination column.
                 DispatchAssignment::Range(_) => {
                     let values = self.values.clone();
-                    let single = !self.combine && self.computers.len() == 1;
+                    let single = self.computers.len() == 1;
                     let mut cursor = graph.cursor(range.start..end);
                     while let Some(vid) = cursor.peek_vid() {
                         let bits = values.load(dispatch_col, vid);

@@ -85,6 +85,10 @@ pub struct Engine {
 /// forever.
 const RUN_TIMEOUT: Duration = Duration::from_secs(4 * 3600);
 
+/// Actor-runtime fairness batch: messages an actor handles per activation
+/// before yielding its worker.
+const ACTOR_BATCH: usize = 64;
+
 impl Engine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
@@ -381,7 +385,7 @@ impl Engine {
         let report = 'attempts: loop {
             let system = System::builder()
                 .workers(self.config.workers)
-                .batch(self.config.actor_batch)
+                .batch(ACTOR_BATCH)
                 .name("gpsa")
                 .build();
             // Escalations arrive from the dying actor's worker thread;
@@ -407,8 +411,6 @@ impl Engine {
                 values.clone(),
                 self.config.termination,
                 self.config.durable,
-                self.config.crash_after_dispatch,
-                self.config.crash_in_compute,
                 report_tx,
                 overlap.clone(),
                 resume_superstep,
@@ -434,7 +436,6 @@ impl Engine {
                         owned.clone(),
                         pool.clone(),
                         overlap.clone(),
-                        self.config.batch_fold,
                     );
                     #[cfg(feature = "chaos")]
                     {
@@ -478,7 +479,6 @@ impl Engine {
                         step_slab_wait_us: 0,
                         scratch: Vec::new(),
                         always_dispatch: program.always_dispatch(),
-                        combine: self.config.combine_messages && program.combines(),
                         mode: self.config.dispatch_mode,
                         density_threshold: self.config.sparse_density_threshold,
                         sparse_now: false,

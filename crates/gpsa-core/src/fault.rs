@@ -9,9 +9,16 @@
 //! down to one process.
 //!
 //! The hooks live in the dispatcher (per chunk), computer (per batch and
-//! at flush), manager (at superstep start), and
-//! [`crate::ValueFile::commit`] (msync failure, torn header). All of them
-//! compile away without the `chaos` feature.
+//! at flush), manager (panic at superstep start; simulated crash after
+//! dispatch or mid-compute), and [`crate::ValueFile::commit`] (msync
+//! failure, torn header). All of them compile away without the `chaos`
+//! feature.
+//!
+//! Panics and commit faults are *survived*: the engine recovers in
+//! process and the run completes. A simulated crash is not: the run ends
+//! as [`crate::RunOutcome::Crashed`] with the value file exactly as a
+//! process death would leave it, and a later run with
+//! [`crate::EngineConfig::resume`] picks it up (paper §IV-G, Fig. 6).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -51,6 +58,20 @@ pub enum FaultSpec {
     /// Panic the manager as it starts `superstep`.
     ManagerPanic {
         /// Superstep whose kickoff dies.
+        superstep: u64,
+    },
+    /// Simulated crash once every dispatcher of `superstep` has reported:
+    /// no compute flush, no commit, the update column half-written. Ends
+    /// the run as [`crate::RunOutcome::Crashed`] (no in-process retry).
+    CrashAfterDispatch {
+        /// Superstep whose dispatch phase is the last thing that happens.
+        superstep: u64,
+    },
+    /// Simulated crash once the *first* computer of `superstep` reports,
+    /// while its siblings may still be folding. Ends the run as
+    /// [`crate::RunOutcome::Crashed`] (no in-process retry).
+    CrashInCompute {
+        /// Superstep whose compute phase is cut short.
         superstep: u64,
     },
     /// The durable commit of `superstep` fails its data msync.
@@ -152,7 +173,8 @@ impl FaultPlan {
 
     /// Derive `n_points` injections from `seed` alone, targeting
     /// supersteps below `max_superstep`. The same seed always yields the
-    /// same schedule.
+    /// same schedule. Only faults the engine survives in process are
+    /// drawn — never a simulated crash, which would end the run.
     pub fn scripted(seed: u64, n_points: usize, max_superstep: u64) -> Self {
         let mut plan = FaultPlan::new(seed);
         let mut state = seed;
@@ -181,7 +203,8 @@ impl FaultPlan {
     /// targeting supersteps below `max_superstep` on nodes below
     /// `n_nodes`. Random plans never include [`FaultSpec::BatchDelay`] —
     /// delays exercise the watchdog's deadline, which a test must size
-    /// explicitly; everything else recovers on its own.
+    /// explicitly; everything else recovers on its own — nor a simulated
+    /// crash.
     pub fn scripted_dist(seed: u64, n_points: usize, max_superstep: u64, n_nodes: u32) -> Self {
         let mut plan = FaultPlan::new(seed);
         let mut state = seed ^ 0xD157_0000_0000_0000;
@@ -278,39 +301,48 @@ impl FaultPlan {
     /// True (once) if the durable commit of `superstep` should fail its
     /// msync.
     pub fn take_msync_failure(&self, superstep: u64) -> bool {
-        self.take_commit_fault(superstep, true)
+        self.take_first(
+            |spec| matches!(spec, FaultSpec::MsyncFail { superstep: s } if s == superstep),
+        )
     }
 
     /// True (once) if the commit of `superstep` should write a torn slot.
     pub fn take_torn_commit(&self, superstep: u64) -> bool {
-        self.take_commit_fault(superstep, false)
+        self.take_first(
+            |spec| matches!(spec, FaultSpec::TornCommit { superstep: s } if s == superstep),
+        )
     }
 
-    fn take_commit_fault(&self, superstep: u64, msync: bool) -> bool {
-        for (i, (spec, _)) in self.points.iter().enumerate() {
-            let due = match *spec {
-                FaultSpec::MsyncFail { superstep: s } => msync && s == superstep,
-                FaultSpec::TornCommit { superstep: s } => !msync && s == superstep,
-                _ => false,
-            };
-            if due && self.fire(i) {
-                return true;
-            }
-        }
-        false
+    /// True (once) if the run should crash now that every dispatcher of
+    /// `superstep` has reported ([`FaultSpec::CrashAfterDispatch`]).
+    pub fn take_crash_after_dispatch(&self, superstep: u64) -> bool {
+        self.take_first(
+            |spec| matches!(spec, FaultSpec::CrashAfterDispatch { superstep: s } if s == superstep),
+        )
+    }
+
+    /// True (once) if the run should crash now that a computer of
+    /// `superstep` has reported ([`FaultSpec::CrashInCompute`]).
+    pub fn take_crash_in_compute(&self, superstep: u64) -> bool {
+        self.take_first(
+            |spec| matches!(spec, FaultSpec::CrashInCompute { superstep: s } if s == superstep),
+        )
+    }
+
+    /// Fire the first not-yet-fired point matching `due`; true if one did.
+    fn take_first(&self, due: impl Fn(FaultSpec) -> bool) -> bool {
+        self.points
+            .iter()
+            .enumerate()
+            .any(|(i, (spec, _))| due(*spec) && self.fire(i))
     }
 
     /// True (once) if `node` should die as it starts `superstep`.
     pub fn take_node_kill(&self, node: u32, superstep: u64) -> bool {
-        for (i, (spec, _)) in self.points.iter().enumerate() {
-            if matches!(*spec, FaultSpec::NodeKill { node: n, superstep: s }
-                    if n == node && s == superstep)
-                && self.fire(i)
-            {
-                return true;
-            }
-        }
-        false
+        self.take_first(|spec| {
+            matches!(spec, FaultSpec::NodeKill { node: n, superstep: s }
+                if n == node && s == superstep)
+        })
     }
 
     /// Panic (once) if a [`FaultSpec::DistComputerPanic`] targeting
@@ -357,14 +389,9 @@ impl FaultPlan {
     /// True (once) if the cluster-manifest append for `superstep` should
     /// write a torn tail and die.
     pub fn take_torn_manifest(&self, superstep: u64) -> bool {
-        for (i, (spec, _)) in self.points.iter().enumerate() {
-            if matches!(*spec, FaultSpec::TornManifest { superstep: s } if s == superstep)
-                && self.fire(i)
-            {
-                return true;
-            }
-        }
-        false
+        self.take_first(
+            |spec| matches!(spec, FaultSpec::TornManifest { superstep: s } if s == superstep),
+        )
     }
 }
 
@@ -465,6 +492,42 @@ mod tests {
                 | FaultSpec::TornCommit { superstep } => assert!(superstep < 4),
                 other => panic!("scripted_dist produced unexpected spec {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn crash_points_fire_once_at_their_superstep_only() {
+        let plan = FaultPlan::new(5)
+            .with(FaultSpec::CrashAfterDispatch { superstep: 2 })
+            .with(FaultSpec::CrashInCompute { superstep: 1 });
+        assert!(!plan.take_crash_after_dispatch(1));
+        assert!(!plan.take_crash_in_compute(2));
+        assert!(plan.take_crash_after_dispatch(2));
+        assert!(!plan.take_crash_after_dispatch(2), "fire-once");
+        assert!(plan.take_crash_in_compute(1));
+        assert!(!plan.take_crash_in_compute(1), "fire-once");
+        // Crash points are invisible to every other hook.
+        let plan = FaultPlan::new(6).with(FaultSpec::CrashAfterDispatch { superstep: 0 });
+        plan.panic_if_due(FaultRole::Manager, 0, 0);
+        assert!(!plan.take_msync_failure(0) && !plan.take_torn_commit(0));
+        assert!(plan.take_crash_after_dispatch(0));
+    }
+
+    #[test]
+    fn seeded_plans_never_draw_a_crash() {
+        let is_crash = |s: &FaultSpec| {
+            matches!(
+                s,
+                FaultSpec::CrashAfterDispatch { .. } | FaultSpec::CrashInCompute { .. }
+            )
+        };
+        for seed in 0..200u64 {
+            assert!(!FaultPlan::scripted(seed, 8, 6)
+                .specs()
+                .any(|s| is_crash(&s)));
+            assert!(!FaultPlan::scripted_dist(seed, 8, 6, 3)
+                .specs()
+                .any(|s| is_crash(&s)));
         }
     }
 

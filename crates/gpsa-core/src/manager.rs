@@ -1,6 +1,6 @@
 //! The manager actor (paper Algorithm 1): superstep coordination,
-//! termination, commit points, and the crash-injection hook used by the
-//! fault-tolerance tests.
+//! termination, commit points, and the chaos harness's simulated-crash
+//! points.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,20 +86,14 @@ pub(crate) struct Manager<P: VertexProgram> {
     pub values: Arc<ValueFile>,
     pub termination: Termination,
     pub durable: bool,
-    /// Test hook: stop abruptly (no commit, no flush) once all dispatchers
-    /// of this superstep have reported — simulating a crash mid-superstep.
-    pub crash_after_dispatch: Option<u64>,
-    /// Test hook: stop abruptly once the *first* computer of this
-    /// superstep reports — a crash in the middle of the compute phase,
-    /// with the update column genuinely half-written.
-    pub crash_in_compute: Option<u64>,
     pub report_tx: Sender<ManagerReport>,
     /// Shared with the computers; the manager owns the superstep epoch.
     pub overlap: Arc<OverlapStats>,
     /// Bumped once per committed superstep; the engine's watchdog reads
     /// it to tell "slow" from "wedged".
     pub progress: Arc<AtomicU64>,
-    /// Chaos harness: scripted manager panics (superstep start).
+    /// Chaos harness: scripted manager panics (superstep start) and
+    /// simulated crashes (after dispatch, mid-compute).
     #[cfg(feature = "chaos")]
     pub fault: Option<Arc<crate::fault::FaultPlan>>,
 
@@ -136,8 +130,6 @@ impl<P: VertexProgram> Manager<P> {
         values: Arc<ValueFile>,
         termination: Termination,
         durable: bool,
-        crash_after_dispatch: Option<u64>,
-        crash_in_compute: Option<u64>,
         report_tx: Sender<ManagerReport>,
         overlap: Arc<OverlapStats>,
         resume_superstep: u64,
@@ -148,8 +140,6 @@ impl<P: VertexProgram> Manager<P> {
             values,
             termination,
             durable,
-            crash_after_dispatch,
-            crash_in_compute,
             report_tx,
             overlap,
             progress,
@@ -348,7 +338,12 @@ impl<P: VertexProgram> Actor for Manager<P> {
                 self.step_phase.slab_wait_us += slab_wait_us;
                 self.pending_dispatch -= 1;
                 if self.pending_dispatch == 0 {
-                    if self.crash_after_dispatch == Some(self.superstep) {
+                    #[cfg(feature = "chaos")]
+                    if self
+                        .fault
+                        .as_ref()
+                        .is_some_and(|plan| plan.take_crash_after_dispatch(self.superstep))
+                    {
                         // Simulated crash: no COMPUTE_OVER flush, no commit.
                         // The update column is left half-written, exactly
                         // the state of paper Fig. 6.
@@ -376,7 +371,12 @@ impl<P: VertexProgram> Actor for Manager<P> {
                 self.step_delta += delta;
                 self.messages += messages;
                 self.step_phase.fold_us += fold_us;
-                if self.crash_in_compute == Some(self.superstep) {
+                #[cfg(feature = "chaos")]
+                if self
+                    .fault
+                    .as_ref()
+                    .is_some_and(|plan| plan.take_crash_in_compute(self.superstep))
+                {
                     // Simulated crash while sibling computers are still
                     // folding: no commit, update column half-written.
                     self.finish(true, ctx);

@@ -105,12 +105,12 @@ pub trait VertexProgram: Send + Sync + 'static {
     }
 
     /// Does this program support message combining? When `true`, the
-    /// dispatcher merges same-destination messages within each outgoing
-    /// batch via [`combine`](Self::combine) before sending — the
-    /// Pregel-combiner optimization, trading a sort per batch for fewer
-    /// mailbox operations and folds. Sound only when `compute` folds
-    /// messages associatively and commutatively (min for BFS/CC, sum for
-    /// PageRank).
+    /// distributed dispatcher (`gpsa-dist`) sorts each outgoing batch and
+    /// merges same-destination messages via [`combine`](Self::combine)
+    /// before sending — the Pregel-combiner optimization. Only that
+    /// dispatcher uses it; the single-machine engine never combines. Sound only when `compute`
+    /// folds messages associatively and commutatively (min for BFS/CC,
+    /// sum for PageRank).
     fn combines(&self) -> bool {
         false
     }

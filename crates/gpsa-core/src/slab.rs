@@ -168,23 +168,6 @@ impl<M> MsgSlab<M> {
 }
 
 impl<M: Copy> MsgSlab<M> {
-    /// Append a singleton run, or combine into the previous one when it
-    /// targets the same destination — the push-time form of the old
-    /// flush-time adjacent dedup (CSR order makes duplicate targets of
-    /// one source adjacent). Only valid on slabs built exclusively by
-    /// this method: every run stays a singleton, so merging into the
-    /// last run is merging with exactly the last destination.
-    pub fn push_combined(&mut self, dst: VertexId, msg: M, combine: impl FnOnce(M, M) -> M) {
-        debug_assert!(!self.has_open_run());
-        if self.dst.last() == Some(&dst) {
-            debug_assert_eq!(self.n_runs(), self.len(), "combined slabs hold singletons");
-            let last = self.msg.last_mut().expect("non-empty slab has a run");
-            *last = combine(*last, msg);
-            return;
-        }
-        self.push(dst, msg);
-    }
-
     /// Iterate the closed runs as `(destinations, msg)` pairs, in
     /// emission order.
     pub fn runs(&self) -> Runs<'_, M> {
@@ -374,17 +357,6 @@ mod tests {
         assert_eq!(s.dsts(), &[5, 7, 8, 9, 1, 2]);
         s.clear();
         assert!(s.is_empty() && s.n_runs() == 0);
-    }
-
-    #[test]
-    fn push_combined_merges_adjacent_duplicates_only() {
-        let mut s = MsgSlab::<u32>::new();
-        s.push_combined(3, 1, |a, b| a + b);
-        s.push_combined(3, 2, |a, b| a + b);
-        s.push_combined(4, 5, |a, b| a + b);
-        s.push_combined(3, 7, |a, b| a + b); // not adjacent to the first 3
-        let runs: Vec<(Vec<u32>, u32)> = s.runs().map(|(d, m)| (d.to_vec(), m)).collect();
-        assert_eq!(runs, vec![(vec![3], 3), (vec![4], 5), (vec![3], 7)]);
     }
 
     #[test]

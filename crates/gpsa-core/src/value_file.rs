@@ -478,10 +478,9 @@ impl ValueFile {
             #[cfg(feature = "chaos")]
             if let Some(plan) = self.fault.lock().as_ref() {
                 if plan.take_msync_failure(superstep) {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        format!("chaos-injected msync failure at superstep {superstep}"),
-                    ));
+                    return Err(std::io::Error::other(format!(
+                        "chaos-injected msync failure at superstep {superstep}"
+                    )));
                 }
             }
             // Data before header: the commit slot must never point at
@@ -503,10 +502,9 @@ impl ValueFile {
         if let Some(plan) = self.fault.lock().as_ref() {
             if plan.take_torn_commit(superstep) {
                 self.write_slot(target, slot, true);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Other,
-                    format!("chaos-injected torn commit at superstep {superstep}"),
-                ));
+                return Err(std::io::Error::other(format!(
+                    "chaos-injected torn commit at superstep {superstep}"
+                )));
             }
         }
         self.write_slot(target, slot, false);

@@ -2,7 +2,10 @@
 //! actor panics, msync failures and torn commit headers into real engine
 //! runs, and every run must still land on final values **bit-identical**
 //! to a fault-free run of the same configuration — the paper's §IV-G
-//! recovery claim, tested end to end instead of trusted.
+//! recovery claim, tested end to end instead of trusted. Simulated
+//! crashes (`FaultSpec::CrashAfterDispatch` / `CrashInCompute`) are the
+//! exception: they end the run as `RunOutcome::Crashed`, and a resumed run
+//! must then finish on the fault-free values.
 //!
 //! Determinism ground rules (see also `FaultPlan`): plans fire each point
 //! at most once, so a plan of `n` points costs at most `n` in-process
@@ -18,7 +21,7 @@ use std::sync::Arc;
 
 use gpsa::fault::{FaultPlan, FaultSpec};
 use gpsa::programs::{Bfs, ConnectedComponents, PageRank};
-use gpsa::{Engine, EngineConfig, RunOutcome, Termination};
+use gpsa::{Engine, EngineConfig, RunOutcome, Termination, ValueFile};
 use gpsa_graph::{generate, preprocess, EdgeList};
 
 fn workdir(tag: &str) -> PathBuf {
@@ -307,4 +310,121 @@ fn msync_failure_is_survived() {
     assert_eq!(report.outcome, RunOutcome::Completed);
     assert_eq!(report.values, baseline);
     assert_eq!(report.retry_attempts, 1, "{:?}", report.retry_causes);
+}
+
+// ---------- simulated crashes: the run ends, a resume finishes it ----------
+
+/// Durable config that crashes once at `crash`.
+fn crash_config(dir: &std::path::Path, crash: FaultSpec) -> EngineConfig {
+    let mut c = fault_free_config(dir);
+    c.fault_plan = Some(Arc::new(FaultPlan::new(0).with(crash)));
+    c
+}
+
+fn resume_config(dir: &std::path::Path) -> EngineConfig {
+    let mut c = EngineConfig::small(dir);
+    c.resume = true;
+    c
+}
+
+#[test]
+fn crash_and_recover_reaches_same_fixpoint() {
+    let el = generate::symmetrize(&generate::rmat(
+        400,
+        2000,
+        generate::RmatParams::default(),
+        77,
+    ));
+    let clean = {
+        let dir = workdir("recover-clean");
+        let path = materialize(&dir, &el);
+        Engine::new(EngineConfig::small(&dir))
+            .run(&path, ConnectedComponents)
+            .unwrap()
+    };
+
+    // Crashing run: durable commits, killed after the dispatch phase of
+    // superstep 1 (mid-superstep: compute actors never flushed).
+    let dir = workdir("recover");
+    let path = materialize(&dir, &el);
+    let crash = FaultSpec::CrashAfterDispatch { superstep: 1 };
+    let crashed = Engine::new(crash_config(&dir, crash))
+        .run(&path, ConnectedComponents)
+        .unwrap();
+    assert_eq!(crashed.outcome, RunOutcome::Crashed);
+    assert!(crashed.values.is_empty());
+
+    // Recovery run resumes from the last committed superstep and finishes.
+    let recovered = Engine::new(resume_config(&dir))
+        .run(&path, ConnectedComponents)
+        .unwrap();
+    assert_eq!(recovered.outcome, RunOutcome::Completed);
+    assert_eq!(recovered.values, clean.values);
+}
+
+#[test]
+fn crash_at_superstep_zero_recovers_too() {
+    let el = generate::two_components(20, 30);
+    let dir = workdir("recover0");
+    let path = materialize(&dir, &el);
+    let crash = FaultSpec::CrashAfterDispatch { superstep: 0 };
+    let crashed = Engine::new(crash_config(&dir, crash))
+        .run(&path, ConnectedComponents)
+        .unwrap();
+    assert_eq!(crashed.outcome, RunOutcome::Crashed);
+
+    let recovered = Engine::new(resume_config(&dir))
+        .run(&path, ConnectedComponents)
+        .unwrap();
+    assert_eq!(recovered.outcome, RunOutcome::Completed);
+    let mut expect = vec![0u32; 50];
+    for e in expect.iter_mut().skip(20) {
+        *e = 20;
+    }
+    assert_eq!(recovered.values, expect);
+}
+
+#[test]
+fn each_crash_variant_fires_once_and_resume_is_bit_identical() {
+    // Per variant: the plan's crash ends the first run with no in-process
+    // retry and the header one commit behind; resuming with the *same*
+    // plan replays the crashed superstep without crashing again (the
+    // point already fired) and lands on the clean run's exact bits.
+    let el = cc_graph(94);
+    let baseline = {
+        let dir = workdir("crash-once-base");
+        let path = materialize(&dir, &el);
+        Engine::new(fault_free_config(&dir))
+            .run(&path, ConnectedComponents)
+            .unwrap()
+    };
+    assert!(baseline.supersteps > 3, "the crash points must be reached");
+    for (tag, crash) in [
+        ("dispatch", FaultSpec::CrashAfterDispatch { superstep: 2 }),
+        ("compute", FaultSpec::CrashInCompute { superstep: 2 }),
+    ] {
+        let plan = Arc::new(FaultPlan::new(0).with(crash));
+        let dir = workdir(&format!("crash-once-{tag}"));
+        let path = materialize(&dir, &el);
+        let mut c = fault_free_config(&dir);
+        c.fault_plan = Some(plan.clone());
+        let engine = Engine::new(c.clone());
+        let crashed = engine.run(&path, ConnectedComponents).unwrap();
+        assert_eq!(crashed.outcome, RunOutcome::Crashed, "{tag}");
+        assert_eq!(crashed.retry_attempts, 0, "{tag}: a crash is not retried");
+        assert_eq!(crashed.supersteps, 2, "{tag}: supersteps 0 and 1 committed");
+        let vf = ValueFile::open(engine.value_file_path(&path)).unwrap();
+        assert_eq!(vf.header().committed_superstep, Some(1), "{tag}");
+        drop(vf);
+
+        c.resume = true;
+        let resumed = Engine::new(c).run(&path, ConnectedComponents).unwrap();
+        assert_eq!(resumed.outcome, RunOutcome::Completed, "{tag}");
+        assert_eq!(resumed.retry_attempts, 0, "{tag}");
+        assert_eq!(resumed.values, baseline.values, "{tag}: resume diverged");
+        assert!(
+            !plan.take_crash_after_dispatch(2) && !plan.take_crash_in_compute(2),
+            "{tag}: the point fired exactly once"
+        );
+    }
 }

@@ -188,6 +188,40 @@ fn sparse_mode_streams_fewer_words_and_conserves_the_interval() {
 }
 
 #[test]
+fn sub_one_percent_frontiers_stream_ten_times_fewer_words() {
+    // The headline claim of selective dispatch, as a counted fact: BFS
+    // across a 138x138 grid keeps a wavefront frontier whose mean density
+    // is under 1%, and there a seek-based pass must read at least 10x
+    // fewer CSR words than the dense sweep, with bit-identical values.
+    let el = generate::grid(138, 138);
+    let dense = run_mode(
+        "wave-dense",
+        &el,
+        Bfs { root: 0 },
+        quiesce(),
+        DispatchMode::Dense,
+    );
+    let density = dense.mean_frontier_density();
+    assert!(density < 0.01, "mean frontier {density} is not sub-1%");
+    for mode in [DispatchMode::Sparse, DispatchMode::Auto] {
+        let r = run_mode(
+            &format!("wave-{mode:?}"),
+            &el,
+            Bfs { root: 0 },
+            quiesce(),
+            mode,
+        );
+        assert_eq!(r.values, dense.values, "{mode:?} diverged from dense");
+        assert!(
+            r.edges_streamed * 10 <= dense.edges_streamed,
+            "{mode:?} streamed {} words vs dense {}: under 10x fewer",
+            r.edges_streamed,
+            dense.edges_streamed
+        );
+    }
+}
+
+#[test]
 fn strided_assignments_fall_back_to_dense_under_every_mode() {
     // Strided intervals interleave vertices from the whole id space; the
     // seek cursor's sequential-window optimization does not apply, so a

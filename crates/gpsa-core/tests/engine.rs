@@ -1,5 +1,6 @@
 //! End-to-end engine tests: correctness against sequential references,
-//! configuration strategies, resumption, and crash recovery.
+//! configuration strategies and resumption. Crash recovery lives in
+//! `chaos.rs` (`--features chaos`), where crashes are injected.
 
 use gpsa::programs::{Bfs, ConnectedComponents, InDegree, PageRank, Sssp, UNREACHED};
 use gpsa::{Engine, EngineConfig, RunOutcome, Termination};
@@ -298,69 +299,7 @@ fn report_statistics_are_consistent() {
     assert!(report.mean_superstep(5) > std::time::Duration::ZERO);
 }
 
-// ---------- fault tolerance ----------
-
-#[test]
-fn crash_and_recover_reaches_same_fixpoint() {
-    let el = generate::symmetrize(&generate::rmat(
-        400,
-        2000,
-        generate::RmatParams::default(),
-        77,
-    ));
-    let dir = workdir("recover");
-    let path = csr_for("recover", &el);
-
-    // Clean run for the expected answer.
-    let clean_dir = workdir("recover-clean");
-    let clean_path = {
-        let p = clean_dir.join("recover.gcsr");
-        preprocess::edges_to_csr(el.clone(), &p, &preprocess::PreprocessOptions::default())
-            .unwrap();
-        p
-    };
-    let clean = Engine::new(EngineConfig::small(&clean_dir))
-        .run(&clean_path, ConnectedComponents)
-        .unwrap();
-
-    // Crashing run: durable commits, killed after the dispatch phase of
-    // superstep 1 (mid-superstep: compute actors never flushed).
-    let mut config = EngineConfig::small(&dir);
-    config.durable = true;
-    config.crash_after_dispatch = Some(1);
-    let crashed = Engine::new(config).run(&path, ConnectedComponents).unwrap();
-    assert_eq!(crashed.outcome, RunOutcome::Crashed);
-    assert!(crashed.values.is_empty());
-
-    // Recovery run resumes from the last committed superstep and finishes.
-    let mut config = EngineConfig::small(&dir);
-    config.resume = true;
-    let recovered = Engine::new(config).run(&path, ConnectedComponents).unwrap();
-    assert_eq!(recovered.outcome, RunOutcome::Completed);
-    assert_eq!(recovered.values, clean.values);
-}
-
-#[test]
-fn crash_at_superstep_zero_recovers_too() {
-    let el = generate::two_components(20, 30);
-    let dir = workdir("recover0");
-    let path = csr_for("recover0", &el);
-    let mut config = EngineConfig::small(&dir);
-    config.durable = true;
-    config.crash_after_dispatch = Some(0);
-    let crashed = Engine::new(config).run(&path, ConnectedComponents).unwrap();
-    assert_eq!(crashed.outcome, RunOutcome::Crashed);
-
-    let mut config = EngineConfig::small(&dir);
-    config.resume = true;
-    let recovered = Engine::new(config).run(&path, ConnectedComponents).unwrap();
-    assert_eq!(recovered.outcome, RunOutcome::Completed);
-    let mut expect = vec![0u32; 50];
-    for e in expect.iter_mut().skip(20) {
-        *e = 20;
-    }
-    assert_eq!(recovered.values, expect);
-}
+// ---------- resume ----------
 
 #[test]
 fn resume_without_crash_just_reruns_conservatively() {
@@ -419,71 +358,6 @@ fn edge_balanced_intervals_balance_dispatcher_load() {
         uniform.dispatcher_messages,
         balanced.dispatcher_messages
     );
-}
-
-#[test]
-fn combiner_preserves_results_and_reduces_messages() {
-    // Reverse star with tripled spokes: every spoke points at the hub
-    // three times, so each source's buffer run holds adjacent duplicate
-    // destinations — exactly what the run-dedup combiner collapses
-    // (duplicates from one source are adjacent in CSR scan order).
-    let n = 500u32;
-    let mut edges: Vec<gpsa_graph::Edge> = Vec::new();
-    for i in 1..n {
-        for _ in 0..3 {
-            edges.push(gpsa_graph::Edge::new(i, 0));
-        }
-    }
-    // Plus a cycle so CC has real propagation to do.
-    for i in 0..n {
-        edges.push(gpsa_graph::Edge::new(i, (i + 1) % n));
-    }
-    let el = EdgeList::with_vertices(edges, n as usize);
-    let path = csr_for("combine", &el);
-
-    let mut on = EngineConfig::small(workdir("combine-on"));
-    on.combine_messages = true;
-    on.msg_batch = 4096; // big batches => more combining opportunity
-    let with = Engine::new(on).run(&path, ConnectedComponents).unwrap();
-
-    let mut off = EngineConfig::small(workdir("combine-off"));
-    off.combine_messages = false;
-    off.msg_batch = 4096;
-    let without = Engine::new(off).run(&path, ConnectedComponents).unwrap();
-
-    assert_eq!(
-        with.values, without.values,
-        "combining must not change results"
-    );
-    // Hub messages (3/4 of the volume) combine at least 3→1 per source;
-    // cycle messages (distinct destinations) cannot combine at all.
-    assert!(
-        with.messages <= without.messages * 6 / 10,
-        "reverse star should combine heavily: {} vs {}",
-        with.messages,
-        without.messages
-    );
-}
-
-#[test]
-fn combiner_parity_for_pagerank_sum() {
-    let el = generate::rmat(300, 3000, generate::RmatParams::default(), 13);
-    let path = csr_for("combine-pr", &el);
-    let term = Termination::Supersteps(5);
-    let mut on = EngineConfig::small(workdir("combine-pr-on")).with_termination(term);
-    on.combine_messages = true;
-    let with = Engine::new(on).run(&path, PageRank::default()).unwrap();
-    let mut off = EngineConfig::small(workdir("combine-pr-off")).with_termination(term);
-    off.combine_messages = false;
-    let without = Engine::new(off).run(&path, PageRank::default()).unwrap();
-    // Sum order differs, so allow float noise only.
-    let max_diff = with
-        .values
-        .iter()
-        .zip(&without.values)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    assert!(max_diff < 1e-6, "combined PR diverged: {max_diff}");
 }
 
 #[test]

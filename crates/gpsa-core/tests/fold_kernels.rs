@@ -4,34 +4,23 @@
 //! for any slab of message runs, the kernel override must leave the value
 //! file (both columns), the frontier bitmap and the dirty list exactly as
 //! the scalar replay through `compute()` would — including the
-//! first-message seeding protocol. Two layers of evidence:
-//!
-//! 1. **Engine A/B**: the same run with `batch_fold` on and off must
-//!    produce bit-identical results across programs × dispatch modes ×
-//!    v1/v2 edge formats (PageRank on a single-actor fleet, where the
-//!    message fold order is deterministic — f32 sums are
-//!    order-sensitive).
-//! 2. **Adversarial slabs**: property-tested hand-built slabs with
-//!    duplicate destinations within and across runs, folded through the
-//!    kernel on one value file and the scalar oracle on a twin, starting
-//!    from arbitrary mid-superstep slot states.
+//! first-message seeding protocol. The evidence is property-tested
+//! adversarial slabs: hand-built slabs with duplicate destinations within
+//! and across runs, folded through the kernel on one value file and the
+//! scalar oracle ([`gpsa::FoldCtx::fold_scalar_slab`]) on a twin, starting
+//! from arbitrary mid-superstep slot states. The engine always folds
+//! through the kernels; `sync_vs_actor.rs` holds it bit-identical to the
+//! `SyncEngine` oracle end to end.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpsa::programs::{Bfs, ConnectedComponents, PageRank, Sssp, UNREACHED};
 use gpsa::{
-    set_flag, DispatchMode, Engine, EngineConfig, FoldCtx, GraphMeta, MsgSlab, RunReport,
-    Termination, ValueFile, VertexProgram, VertexValue, FLAG_BIT,
+    set_flag, FoldCtx, GraphMeta, MsgSlab, ValueFile, VertexProgram, VertexValue, FLAG_BIT,
 };
-use gpsa_graph::{generate, preprocess, EdgeList, VertexId};
+use gpsa_graph::VertexId;
 use proptest::prelude::*;
-
-const MODES: [DispatchMode; 3] = [
-    DispatchMode::Dense,
-    DispatchMode::Sparse,
-    DispatchMode::Auto,
-];
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -39,119 +28,6 @@ fn workdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("gpsa-foldk-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
-}
-
-/// Materialize `el` in both formats; returns `(v1_path, v2_path)`.
-fn both_formats(tag: &str, el: &EdgeList) -> (PathBuf, PathBuf) {
-    let dir = workdir(tag);
-    let v1 = dir.join("graph-v1.gcsr");
-    let v2 = dir.join("graph-v2.gcsr");
-    preprocess::edges_to_csr(
-        el.clone(),
-        &v1,
-        &preprocess::PreprocessOptions::uncompressed(),
-    )
-    .unwrap();
-    preprocess::edges_to_csr(el.clone(), &v2, &preprocess::PreprocessOptions::default()).unwrap();
-    (v1, v2)
-}
-
-/// Run the same job twice — batch kernels on, then the scalar oracle —
-/// and return both reports.
-fn run_ab<P: VertexProgram + Clone>(
-    base: EngineConfig,
-    path: &Path,
-    program: P,
-) -> (RunReport<P::Value>, RunReport<P::Value>) {
-    let batch = Engine::new(base.clone().with_batch_fold(true))
-        .run(path, program.clone())
-        .unwrap();
-    let scalar = Engine::new(base.with_batch_fold(false))
-        .run(path, program)
-        .unwrap();
-    (batch, scalar)
-}
-
-fn assert_reports_identical<V: VertexValue>(
-    batch: &RunReport<V>,
-    scalar: &RunReport<V>,
-    what: &str,
-) {
-    let b_bits: Vec<u32> = batch.values.iter().map(|v| v.to_bits()).collect();
-    let s_bits: Vec<u32> = scalar.values.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(b_bits, s_bits, "{what}: values diverge");
-    assert_eq!(
-        batch.supersteps, scalar.supersteps,
-        "{what}: superstep counts diverge"
-    );
-    assert_eq!(
-        batch.messages, scalar.messages,
-        "{what}: message counts diverge"
-    );
-    assert_eq!(
-        batch.activated, scalar.activated,
-        "{what}: activation traces diverge"
-    );
-}
-
-fn quiesce() -> Termination {
-    Termination::Quiescence {
-        max_supersteps: 2000,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Min-fold programs (order-independent): the full small fleet, every
-    /// dispatch mode, both edge formats.
-    #[test]
-    fn engine_batch_fold_matches_scalar_for_min_programs(
-        seed in 0u64..1000,
-        n in 40usize..160,
-        e_per_v in 2usize..6,
-        root_pick in any::<prop::sample::Index>(),
-    ) {
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let el = generate::symmetrize(&generate::rmat(
-            n, n * e_per_v, generate::RmatParams::default(), seed,
-        ));
-        let (v1, v2) = both_formats(&format!("min-{case}"), &el);
-        let root = root_pick.index(n) as VertexId;
-        for (fmt, path) in [("v1", &v1), ("v2", &v2)] {
-            for mode in MODES {
-                let base = EngineConfig::small(workdir(&format!("min-{case}-run")))
-                    .with_termination(quiesce())
-                    .with_dispatch_mode(mode);
-                let (b, s) = run_ab(base.clone(), path, Bfs { root });
-                assert_reports_identical(&b, &s, &format!("bfs {fmt} {mode:?}"));
-                let (b, s) = run_ab(base.clone(), path, ConnectedComponents);
-                assert_reports_identical(&b, &s, &format!("cc {fmt} {mode:?}"));
-                let (b, s) = run_ab(base, path, Sssp { root });
-                assert_reports_identical(&b, &s, &format!("sssp {fmt} {mode:?}"));
-            }
-        }
-    }
-}
-
-/// PageRank's f32 sum is fold-order-sensitive, so A/B it on a
-/// single-dispatcher / single-computer / single-worker fleet where the
-/// message stream order is deterministic.
-#[test]
-fn engine_batch_fold_matches_scalar_for_pagerank() {
-    let el = generate::rmat(300, 1800, generate::RmatParams::default(), 41);
-    let (v1, v2) = both_formats("pr", &el);
-    for (fmt, path) in [("v1", &v1), ("v2", &v2)] {
-        for combine in [true, false] {
-            let mut base = EngineConfig::small(workdir("pr-run"))
-                .with_actors(1, 1)
-                .with_workers(1)
-                .with_termination(Termination::Supersteps(5));
-            base.combine_messages = combine;
-            let (b, s) = run_ab(base, path, PageRank::default());
-            assert_reports_identical(&b, &s, &format!("pagerank {fmt} combine={combine}"));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -55,6 +55,4 @@ mod recovery;
 mod traffic;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterError, DistReport};
-pub use traffic::{
-    replay_against_server, synthetic_jobs, ReplayConfig, ReplayJob, ReplayReport, TrafficMatrix,
-};
+pub use traffic::TrafficMatrix;

@@ -1,15 +1,6 @@
-//! Cross-node traffic accounting, plus a client-side traffic *generator*:
-//! [`replay_against_server`] drives a synthetic job mix against a running
-//! `gpsa-serve` instance and reports latency percentiles, throughput, and
-//! the server's cache hit rate (the numbers `BENCH_serve.json` records).
+//! Cross-node traffic accounting.
 
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use gpsa_serve::{AlgorithmSpec, Client, ClientError, Priority, ServeError, SubmitRequest};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An `N×N` matrix of message counts: `count(from, to)` messages were
 /// routed from a dispatcher on node `from` to a compute actor on node
@@ -77,214 +68,6 @@ impl TrafficMatrix {
     }
 }
 
-/// One job in a replay trace.
-#[derive(Debug, Clone)]
-pub struct ReplayJob {
-    /// Which resident graph to hit.
-    pub graph_id: String,
-    /// What to run.
-    pub algorithm: AlgorithmSpec,
-    /// Queue class.
-    pub priority: Priority,
-}
-
-/// Replay knobs.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Client threads issuing jobs concurrently (each with its own
-    /// connection).
-    pub concurrency: usize,
-    /// Per-job deadline forwarded to the server, if any.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        ReplayConfig {
-            concurrency: 4,
-            deadline: None,
-        }
-    }
-}
-
-/// What a replay measured.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Jobs attempted.
-    pub jobs_total: usize,
-    /// Jobs answered with a result (fresh or cached).
-    pub jobs_ok: usize,
-    /// Jobs refused by admission control (`server_busy`).
-    pub jobs_rejected: usize,
-    /// Jobs that failed any other way (deadline, engine, transport).
-    pub jobs_failed: usize,
-    /// Median end-to-end submit latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile end-to-end submit latency, microseconds.
-    pub p99_us: u64,
-    /// Answers that were cache hits, as seen in the responses.
-    pub cache_hits: usize,
-    /// The server's lifetime cache hit rate after the replay.
-    pub cache_hit_rate: f64,
-    /// Wall time of the whole replay.
-    pub elapsed: Duration,
-}
-
-impl ReplayReport {
-    /// Completed jobs per wall-clock second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.jobs_ok as f64 / secs
-        }
-    }
-
-    /// Render the `BENCH_serve.json` document (hand-rolled, like every
-    /// other BENCH emitter in the workspace).
-    pub fn to_bench_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"serve_replay\",\n  \"jobs_total\": {},\n  \
-             \"jobs_ok\": {},\n  \"jobs_rejected\": {},\n  \"jobs_failed\": {},\n  \
-             \"p50_us\": {},\n  \"p99_us\": {},\n  \"jobs_per_sec\": {:.2},\n  \
-             \"cache_hits\": {},\n  \"cache_hit_rate\": {:.4},\n  \"elapsed_ms\": {}\n}}\n",
-            self.jobs_total,
-            self.jobs_ok,
-            self.jobs_rejected,
-            self.jobs_failed,
-            self.p50_us,
-            self.p99_us,
-            self.jobs_per_sec(),
-            self.cache_hits,
-            self.cache_hit_rate,
-            self.elapsed.as_millis()
-        )
-    }
-}
-
-/// Deterministic synthetic job mix over `graph_ids` (xorshift64-seeded).
-/// Roots are drawn from a small range on purpose so the trace contains
-/// repeats — the cache hit rate is part of what the replay measures.
-pub fn synthetic_jobs(graph_ids: &[String], n: usize, seed: u64) -> Vec<ReplayJob> {
-    assert!(!graph_ids.is_empty(), "need at least one graph id");
-    let mut state = seed.max(1);
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..n)
-        .map(|_| {
-            let graph_id = graph_ids[(next() % graph_ids.len() as u64) as usize].clone();
-            let root = (next() % 8) as u32;
-            let algorithm = match next() % 4 {
-                0 => AlgorithmSpec::PageRank {
-                    damping: 0.85,
-                    supersteps: 5,
-                },
-                1 => AlgorithmSpec::Bfs { root },
-                2 => AlgorithmSpec::Cc,
-                _ => AlgorithmSpec::Sssp { root },
-            };
-            let priority = if next() % 8 == 0 {
-                Priority::High
-            } else {
-                Priority::Normal
-            };
-            ReplayJob {
-                graph_id,
-                algorithm,
-                priority,
-            }
-        })
-        .collect()
-}
-
-/// Drive `jobs` against the server at `addr` from
-/// [`ReplayConfig::concurrency`] client threads and collect the
-/// latency/throughput/cache profile. Jobs are claimed from a shared
-/// cursor, so the trace order is preserved per claim but interleaving is
-/// real. Graphs must already be registered.
-pub fn replay_against_server(
-    addr: SocketAddr,
-    jobs: &[ReplayJob],
-    config: &ReplayConfig,
-) -> io::Result<ReplayReport> {
-    let jobs = Arc::new(jobs.to_vec());
-    let cursor = Arc::new(AtomicUsize::new(0));
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for _ in 0..config.concurrency.max(1) {
-        let (jobs, cursor, deadline) = (jobs.clone(), cursor.clone(), config.deadline);
-        handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr)?;
-            // (latency_us of answered jobs, ok, rejected, failed, hits)
-            let mut out = (Vec::new(), 0usize, 0usize, 0usize, 0usize);
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let mut req = SubmitRequest::new(job.graph_id.clone(), job.algorithm)
-                    .with_priority(job.priority);
-                if let Some(d) = deadline {
-                    req = req.with_deadline(d);
-                }
-                let t = Instant::now();
-                match client.submit(&req) {
-                    Ok(resp) => {
-                        out.0.push(t.elapsed().as_micros() as u64);
-                        out.1 += 1;
-                        if resp.cache_hit {
-                            out.4 += 1;
-                        }
-                    }
-                    Err(ClientError::Server(ServeError::ServerBusy(_))) => out.2 += 1,
-                    Err(ClientError::Server(_)) => out.3 += 1,
-                    Err(ClientError::Io(e)) => return Err(e),
-                }
-            }
-            Ok(out)
-        }));
-    }
-    let mut latencies = Vec::new();
-    let (mut ok, mut rejected, mut failed, mut hits) = (0, 0, 0, 0);
-    for h in handles {
-        let (lat, o, r, f, c) = h
-            .join()
-            .map_err(|_| io::Error::other("replay worker panicked"))??;
-        latencies.extend(lat);
-        ok += o;
-        rejected += r;
-        failed += f;
-        hits += c;
-    }
-    let elapsed = t0.elapsed();
-    latencies.sort_unstable();
-    let pct = |p: usize| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            latencies[(latencies.len() - 1) * p / 100]
-        }
-    };
-    let cache_hit_rate = Client::connect(addr)?
-        .stats()
-        .map(|s| s.cache_hit_rate())
-        .unwrap_or(0.0);
-    Ok(ReplayReport {
-        jobs_total: jobs.len(),
-        jobs_ok: ok,
-        jobs_rejected: rejected,
-        jobs_failed: failed,
-        p50_us: pct(50),
-        p99_us: pct(99),
-        cache_hits: hits,
-        cache_hit_rate,
-        elapsed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,61 +85,6 @@ mod tests {
         assert_eq!(t.total(), 15);
         assert_eq!(t.snapshot()[2][1], 1);
         assert_eq!(t.n_nodes(), 3);
-    }
-
-    #[test]
-    fn synthetic_jobs_are_deterministic_and_repeat_params() {
-        let ids = vec!["a".to_string(), "b".to_string()];
-        let x = synthetic_jobs(&ids, 64, 42);
-        let y = synthetic_jobs(&ids, 64, 42);
-        assert_eq!(x.len(), 64);
-        for (a, b) in x.iter().zip(&y) {
-            assert_eq!(a.graph_id, b.graph_id);
-            assert_eq!(a.algorithm, b.algorithm);
-            assert_eq!(a.priority, b.priority);
-        }
-        // Small parameter space guarantees repeated (graph, alg, params)
-        // triples — the trace must be able to exercise the cache.
-        let mut keys: Vec<String> = x
-            .iter()
-            .map(|j| {
-                format!(
-                    "{}|{}|{}",
-                    j.graph_id,
-                    j.algorithm.name(),
-                    j.algorithm.canonical_params()
-                )
-            })
-            .collect();
-        keys.sort();
-        keys.dedup();
-        assert!(keys.len() < 64, "no repeats in the synthetic trace");
-        // A different seed produces a different trace.
-        let z = synthetic_jobs(&ids, 64, 43);
-        assert!(x
-            .iter()
-            .zip(&z)
-            .any(|(a, b)| a.algorithm != b.algorithm || a.graph_id != b.graph_id));
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let r = ReplayReport {
-            jobs_total: 10,
-            jobs_ok: 8,
-            jobs_rejected: 1,
-            jobs_failed: 1,
-            p50_us: 1200,
-            p99_us: 9000,
-            cache_hits: 3,
-            cache_hit_rate: 0.375,
-            elapsed: Duration::from_millis(500),
-        };
-        let j = r.to_bench_json();
-        assert!(j.contains("\"bench\": \"serve_replay\""));
-        assert!(j.contains("\"p99_us\": 9000"));
-        assert!(j.contains("\"jobs_per_sec\": 16.00"));
-        assert!((r.jobs_per_sec() - 16.0).abs() < 1e-9);
     }
 
     #[test]

@@ -242,7 +242,7 @@ fn resolve<A: ToSocketAddrs>(addr: A) -> io::Result<SocketAddr> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing"))
 }
 
-fn open_stream(addr: SocketAddr) -> io::Result<TcpStream> {
+pub(crate) fn open_stream(addr: SocketAddr) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     set_low_latency(&stream)?;
     Ok(stream)

@@ -178,10 +178,19 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Accept one protocol connection, with `TCP_NODELAY` set on the
+/// accepted socket as the client sets it on the connecting one
+/// ([`set_low_latency`]).
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _peer) = listener.accept()?;
+    let _ = set_low_latency(&stream);
+    Ok(stream)
+}
+
 fn accept_loop(listener: TcpListener, shared: Shared) {
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+        match accept(&listener) {
+            Ok(stream) => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
@@ -220,7 +229,6 @@ enum Action {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Shared) {
-    let _ = set_low_latency(&stream);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     // Submissions that name no tenant bill against the connection itself,
     // so one anonymous flooder can't crowd out other anonymous clients.
@@ -731,4 +739,24 @@ fn write_stream(stream: &mut TcpStream, resp: &JobResponse, shared: &Shared) -> 
         .set("run_us", Json::num(resp.run_time.as_micros() as u64))
         .set("stats", resp.stats.to_json());
     write_frame(stream, &end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = crate::client::open_stream(listener.local_addr().unwrap()).unwrap();
+        let server = accept(&listener).unwrap();
+        assert!(
+            client.nodelay().unwrap(),
+            "the client's socket has Nagle on"
+        );
+        assert!(
+            server.nodelay().unwrap(),
+            "the accepted socket has Nagle on"
+        );
+    }
 }

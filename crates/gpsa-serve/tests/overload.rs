@@ -565,12 +565,12 @@ fn overload_soak_stays_live_fair_and_bit_identical() {
     // The light tenant: sequential keyed submits, streaming every other
     // one, retries on. Every result must be bit-identical to the direct
     // run — including the one whose stream the fault plan severs.
-    let light_alg = alg.clone();
+    let light_alg = alg;
     let light_baseline = baseline.clone();
     let light = std::thread::spawn(move || {
         let mut c = Client::connect_with(addr, RetryPolicy::default_enabled()).unwrap();
         for i in 0..16 {
-            let mut req = SubmitRequest::new("g", light_alg.clone())
+            let mut req = SubmitRequest::new("g", light_alg)
                 .with_tenant("light")
                 .with_idempotency_key(format!("soak-{i}"));
             if i % 2 == 0 {

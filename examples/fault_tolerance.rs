@@ -1,11 +1,15 @@
 //! Lightweight fault tolerance (paper §IV-G): crash a run mid-superstep,
 //! then recover from the always-immutable column and finish — no
-//! checkpoint files, no redo log.
+//! checkpoint files, no redo log. The crash is the chaos fault plan's
+//! simulated one, which the examples build in (`gpsa-core/chaos`).
 //!
 //! ```text
 //! cargo run --release -p gpsa-cli --example fault_tolerance
 //! ```
 
+use std::sync::Arc;
+
+use gpsa::fault::{FaultPlan, FaultSpec};
 use gpsa::programs::ConnectedComponents;
 use gpsa::{Engine, EngineConfig, RunOutcome};
 use gpsa_graph::{generate, preprocess};
@@ -27,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // advanced, and the update column is left half-written (paper Fig. 6).
     let mut config = EngineConfig::new(&work_dir);
     config.durable = true;
-    config.crash_after_dispatch = Some(2);
+    config.fault_plan = Some(Arc::new(
+        FaultPlan::new(0).with(FaultSpec::CrashAfterDispatch { superstep: 2 }),
+    ));
     let crashed = Engine::new(config).run(&csr_path, ConnectedComponents)?;
     assert_eq!(crashed.outcome, RunOutcome::Crashed);
     println!(

@@ -1,7 +1,13 @@
 //! Fault-tolerance integration: crash injection at various superstep
 //! boundaries, across algorithms, always converging to the crash-free
-//! fixpoint (paper §IV-G).
+//! fixpoint (paper §IV-G). Crashes are the chaos fault plan's simulated
+//! ones (`FaultSpec::CrashAfterDispatch` / `CrashInCompute`); this test
+//! target builds `gpsa-core` with its `chaos` feature (see
+//! `crates/gpsa-cli/Cargo.toml`).
 
+use std::sync::Arc;
+
+use gpsa::fault::{FaultPlan, FaultSpec};
 use gpsa::programs::{Bfs, ConnectedComponents, PageRank};
 use gpsa::{Engine, EngineConfig, RunOutcome, Termination, ValueFile};
 use gpsa_algorithms::reference;
@@ -20,18 +26,24 @@ fn materialize(dir: &std::path::Path, el: &EdgeList) -> PathBuf {
     p
 }
 
-fn crash_config(dir: &std::path::Path, at: u64) -> EngineConfig {
-    let mut c = EngineConfig::small(dir);
+fn with_crash(mut c: EngineConfig, crash: FaultSpec) -> EngineConfig {
     c.durable = true;
-    c.crash_after_dispatch = Some(at);
+    c.fault_plan = Some(Arc::new(FaultPlan::new(0).with(crash)));
     c
 }
 
+fn crash_config(dir: &std::path::Path, at: u64) -> EngineConfig {
+    with_crash(
+        EngineConfig::small(dir),
+        FaultSpec::CrashAfterDispatch { superstep: at },
+    )
+}
+
 fn crash_compute_config(dir: &std::path::Path, at: u64) -> EngineConfig {
-    let mut c = EngineConfig::small(dir);
-    c.durable = true;
-    c.crash_in_compute = Some(at);
-    c
+    with_crash(
+        EngineConfig::small(dir),
+        FaultSpec::CrashInCompute { superstep: at },
+    )
 }
 
 fn resume_config(dir: &std::path::Path) -> EngineConfig {
@@ -210,9 +222,10 @@ fn double_crash_then_recover() {
         .unwrap();
     assert_eq!(crashed.outcome, RunOutcome::Crashed);
 
-    let mut c = resume_config(&dir);
-    c.durable = true;
-    c.crash_after_dispatch = Some(3);
+    let c = with_crash(
+        resume_config(&dir),
+        FaultSpec::CrashAfterDispatch { superstep: 3 },
+    );
     let crashed_again = Engine::new(c).run(&path, ConnectedComponents).unwrap();
     assert_eq!(crashed_again.outcome, RunOutcome::Crashed);
 
