@@ -163,20 +163,36 @@ impl Engine {
     /// `prior` committed values of a run on the pre-mutation graph,
     /// instead of recomputing from scratch.
     ///
-    /// The initial frontier is seeded from the delta: every source of an
-    /// added edge that holds a non-initial prior value re-dispatches its
-    /// value, and convergence propagates from there. This is sound only
-    /// for monotone frontier-driven programs (BFS / CC / SSSP — values
-    /// only improve as edges are added), so it rejects
-    /// `always_dispatch` programs (PageRank) and snapshots whose delta
-    /// contains removals — both need a full recompute. `prior` must come
-    /// from the same program on the same graph id (its length may be
-    /// smaller than the snapshot's vertex count when the delta grew the
-    /// graph; new vertices fall back to [`VertexProgram::init`]).
+    /// **Seeds.** The initial frontier holds exactly the sources `u` of
+    /// added edges `(u, v)` that the prior *violates*: relaxing the edge
+    /// with the program's own hooks, `compute(v, None, prior[v],
+    /// gen_msg(u, prior[u], degree(u)))`, would be `changed` against
+    /// `prior[v]`. Vertices past `prior.len()` (the delta grew the graph)
+    /// take their [`VertexProgram::init`] value and activity. Convergence
+    /// propagates from the seeds; a vertex the propagation improves
+    /// re-dispatches its whole merged edge list through the normal update
+    /// path. The seeds are found by one ascending walk of the overlay's
+    /// added edges.
     ///
-    /// The run's [`RunReport::seeded_frontier`] counts the seeds; the
-    /// correctness oracle is a full [`Engine::run_snapshot`] on the same
-    /// snapshot, which must produce bit-identical values.
+    /// **Precondition.** The rule is exact — bit-identical to a scratch
+    /// [`Engine::run_snapshot`] on the same snapshot — when `prior` is the
+    /// fixpoint of the same monotone frontier-driven program (BFS / CC /
+    /// SSSP: values only improve as edges are added) on a snapshot whose
+    /// edges are a subset of this one's, and `gen_msg` does not depend on
+    /// the out-degree (no accepted program's does): every edge the prior
+    /// satisfies stays satisfied until its source moves. So
+    /// `always_dispatch` programs (PageRank) and snapshots whose delta
+    /// contains removals are refused, as are priors longer than the
+    /// snapshot.
+    ///
+    /// **Empty frontier.** When nothing is violated and no vertex past
+    /// `prior.len()` starts active, no superstep could change a value:
+    /// the run returns `prior` padded with `init` values as a
+    /// [`RunOutcome::Completed`] report with 0 supersteps, builds no actor
+    /// fleet and no value file, and deletes any file left at `value_file`
+    /// so a later resume cannot pick up an older run.
+    ///
+    /// The run's [`RunReport::seeded_frontier`] counts the seeds.
     pub fn run_incremental<P: VertexProgram>(
         &self,
         graph: &Arc<GraphSnapshot>,
@@ -184,6 +200,7 @@ impl Engine {
         program: P,
         prior: &[P::Value],
     ) -> Result<RunReport<P::Value>, EngineError> {
+        let t0 = Instant::now();
         if program.always_dispatch() {
             return Err(EngineError::Config(
                 "incremental recompute needs a frontier-driven program; \
@@ -209,20 +226,34 @@ impl Engine {
             n_vertices: graph.n_vertices() as u64,
             n_edges: graph.n_edges() as u64,
         };
-        // Seed the sources of effectively-added edges. A source still at
-        // its inactive initial value (e.g. BFS-unreached) has nothing to
-        // re-send — if the delta later reaches it, the normal update
-        // path re-activates it with its whole merged edge list.
-        let mut seeds = std::collections::HashSet::new();
-        graph.overlay().for_each_added(|src, _dst| {
-            if (src as usize) < prior.len() && !seeds.contains(&src) {
-                let (init_val, init_active) = program.init(src, &meta);
-                let untouched = prior[src as usize].to_bits() == init_val.to_bits() && !init_active;
-                if !untouched {
-                    seeds.insert(src);
-                }
+        let value = |v: u32| match prior.get(v as usize) {
+            Some(&p) => p,
+            None => program.init(v, &meta).0,
+        };
+        let mut seeds = Vec::new();
+        for (u, degree, dsts) in graph.added_by_source() {
+            let Some(msg) = program.gen_msg(u, value(u), degree, &meta) else {
+                continue;
+            };
+            let violated = |&v: &u32| {
+                let basis = value(v);
+                program.changed(basis, program.compute(v, None, basis, msg, &meta))
+            };
+            if dsts.iter().any(violated) {
+                seeds.push(u);
             }
-        });
+        }
+        let fresh = prior.len() as u32..graph.n_vertices() as u32;
+        if seeds.is_empty() && !fresh.clone().any(|v| program.init(v, &meta).1) {
+            self.check_termination()?;
+            match std::fs::remove_file(value_file) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+            let mut values = prior.to_vec();
+            values.extend(fresh.map(|v| program.init(v, &meta).0));
+            return Ok(RunReport::unchanged(values, t0.elapsed()));
+        }
         self.run_inner(graph, value_file, program, Some((prior, seeds)))
     }
 
@@ -247,23 +278,29 @@ impl Engine {
         self.run_inner(&snapshot, value_file, program, None)
     }
 
+    /// Refuse a termination condition no run can meet.
+    fn check_termination(&self) -> Result<(), EngineError> {
+        if let Termination::Supersteps(0) = self.config.termination {
+            return Err(EngineError::Config("Termination::Supersteps(0)".into()));
+        }
+        Ok(())
+    }
+
     /// The shared run body behind [`run_snapshot`](Self::run_snapshot),
     /// [`run_shared`](Self::run_shared) and
     /// [`run_incremental`](Self::run_incremental). When `incremental` is
-    /// set, the value file is created from the prior values with the seed
-    /// set as the initial frontier (resume is bypassed — an incremental
-    /// run is its own fresh state).
+    /// set, the value file is created from the prior values with the
+    /// ascending seed list as the initial frontier (resume is bypassed —
+    /// an incremental run is its own fresh state).
     fn run_inner<P: VertexProgram>(
         &self,
         graph: &Arc<GraphSnapshot>,
         value_file: &Path,
         program: P,
-        incremental: Option<(&[P::Value], std::collections::HashSet<u32>)>,
+        incremental: Option<(&[P::Value], Vec<u32>)>,
     ) -> Result<RunReport<P::Value>, EngineError> {
         let t0 = Instant::now();
-        if let Termination::Supersteps(0) = self.config.termination {
-            return Err(EngineError::Config("Termination::Supersteps(0)".into()));
-        }
+        self.check_termination()?;
         if let Some(parent) = value_file.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -310,13 +347,17 @@ impl Engine {
                 let vf = match &incremental {
                     Some((prior, seeds)) => {
                         // Warm start: carry the prior run's committed values
-                        // and wake only the delta's seed vertices.
+                        // and wake only the seeds (plus any new vertex that
+                        // starts active). `create` visits ids in ascending
+                        // order, so the ascending seeds are consumed in step.
+                        let mut seeds = seeds.iter().copied().peekable();
                         ValueFile::create(value_file, graph.n_vertices(), |v| {
-                            if (v as usize) < prior.len() {
-                                (prior[v as usize], seeds.contains(&v))
-                            } else {
-                                p.init(v, &m)
-                            }
+                            let seeded = seeds.next_if_eq(&v).is_some();
+                            let (value, active) = match prior.get(v as usize) {
+                                Some(&value) => (value, false),
+                                None => p.init(v, &m),
+                            };
+                            (value, active || seeded)
                         })?
                     }
                     None => ValueFile::create(value_file, graph.n_vertices(), |v| p.init(v, &m))?,

@@ -166,31 +166,36 @@ pub fn uniform_intervals(n_vertices: usize, k: usize) -> Vec<Range<VertexId>> {
 /// edges to ensure that every dispatcher worker sends exactly the same
 /// number of messages"). Takes the merged live-graph view so a delta
 /// overlay's added/removed edges count toward the balance.
+///
+/// Each interval but the last ends at the first vertex boundary where it
+/// holds at least `⌈E / k⌉` edges (or at `n`). The cut is a binary search
+/// over prefix edge counts ([`GraphSnapshot::edges_in_range`]), so the
+/// cost is `O(k log n)` lookups, not one per vertex.
 pub fn edge_balanced_intervals(csr: &GraphSnapshot, k: usize) -> Vec<Range<VertexId>> {
     assert!(k > 0);
     let n = csr.n_vertices();
-    let total = csr.n_edges() as u64;
-    let target = total.div_ceil(k as u64).max(1);
+    let target = (csr.n_edges() as u64).div_ceil(k as u64).max(1);
+    let prefix = |v: usize| csr.edges_in_range(0..v as VertexId);
     let mut intervals = Vec::with_capacity(k);
-    let mut start: usize = 0;
-    for i in 0..k {
-        if i == k - 1 {
-            intervals.push(start as VertexId..n as VertexId);
-            break;
+    let mut start = 0;
+    for _ in 1..k {
+        let goal = prefix(start) + target;
+        // The smallest `end` in `start + 1..=n` with `prefix(end) >= goal`,
+        // or `n` when none reaches it.
+        let (mut lo, mut hi) = (start + 1, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if prefix(mid) < goal {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        let mut acc: u64 = 0;
-        let mut end = start;
-        while end < n && acc < target {
-            acc += u64::from(csr.degree(end as VertexId));
-            end += 1;
-        }
+        let end = lo.min(n);
         intervals.push(start as VertexId..end as VertexId);
         start = end;
     }
-    // If the loop ended early (few vertices), pad with empty intervals.
-    while intervals.len() < k {
-        intervals.push(n as VertexId..n as VertexId);
-    }
+    intervals.push(start as VertexId..n as VertexId);
     intervals
 }
 
@@ -317,6 +322,79 @@ mod tests {
             max / min.max(1.0) < 1.5,
             "loads {loads:?} should be balanced"
         );
+    }
+
+    /// The definition the binary search replaces: walk vertex by vertex,
+    /// closing an interval once it holds `⌈E / k⌉` edges.
+    fn per_vertex_intervals(csr: &GraphSnapshot, k: usize) -> Vec<Range<VertexId>> {
+        let n = csr.n_vertices();
+        let target = (csr.n_edges() as u64).div_ceil(k as u64).max(1);
+        let mut intervals = Vec::with_capacity(k);
+        let mut start = 0;
+        for _ in 1..k {
+            let (mut acc, mut end) = (0, start);
+            while end < n && acc < target {
+                acc += u64::from(csr.degree(end as VertexId));
+                end += 1;
+            }
+            intervals.push(start as VertexId..end as VertexId);
+            start = end;
+        }
+        intervals.push(start as VertexId..n as VertexId);
+        intervals
+    }
+
+    #[test]
+    fn edge_balanced_cuts_match_the_per_vertex_walk_on_mutated_snapshots() {
+        use gpsa_graph::{DeltaBatch, DeltaOverlay, Edge};
+        use rand::{Rng, SeedableRng};
+
+        let dir = std::env::temp_dir().join(format!("gpsa-part-mut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC075);
+        let mut checked_empty = false;
+        let mut checked_tail = false;
+        for case in 0..60 {
+            let base_n = rng.gen_range(1..40u32);
+            let base_m = rng.gen_range(0..120usize);
+            let edges: Vec<Edge> = (0..base_m)
+                .map(|_| Edge::new(rng.gen_range(0..base_n), rng.gen_range(0..base_n)))
+                .collect();
+            let path = dir.join(format!("case-{case}.gcsr"));
+            preprocess::edges_to_csr(
+                gpsa_graph::EdgeList::with_vertices(edges, base_n as usize),
+                &path,
+                &preprocess::PreprocessOptions::default(),
+            )
+            .unwrap();
+            let base = Arc::new(DiskCsr::open(&path).unwrap());
+            let mut overlay = DeltaOverlay::new();
+            for _ in 0..rng.gen_range(0..5) {
+                // Endpoints up to 2x the base range: some records exist
+                // only past the base.
+                let es: Vec<Edge> = (0..rng.gen_range(1..30))
+                    .map(|_| Edge::new(rng.gen_range(0..2 * base_n), rng.gen_range(0..2 * base_n)))
+                    .collect();
+                let batch = if rng.gen_bool(0.3) {
+                    DeltaBatch::Remove(es)
+                } else {
+                    DeltaBatch::Add(es)
+                };
+                overlay.apply(&base, &batch);
+            }
+            let snap = GraphSnapshot::new(base.clone(), Arc::new(overlay));
+            for k in [1, 2, 3, 5, 8, 64] {
+                let iv = edge_balanced_intervals(&snap, k);
+                assert_eq!(iv, per_vertex_intervals(&snap, k), "case {case} k {k}");
+                let base_end = base.n_vertices() as VertexId;
+                checked_empty |= iv.iter().any(|r| r.is_empty());
+                checked_tail |= iv.iter().any(|r| {
+                    !r.is_empty() && r.start >= base_end && snap.edges_in_range(r.clone()) > 0
+                });
+            }
+        }
+        assert!(checked_empty, "some interval came out empty");
+        assert!(checked_tail, "some interval lay wholly past the base");
     }
 
     #[test]

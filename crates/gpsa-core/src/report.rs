@@ -82,9 +82,10 @@ pub struct RunReport<V> {
     /// — the frontier density the sparse/dense decision was made from.
     pub frontier_density: Vec<f64>,
     /// Vertices seeded into the initial frontier by an incremental run
-    /// (`Engine::run_incremental`): the sources of the delta's added
-    /// edges that had a committed prior value to re-send. 0 for full
-    /// runs.
+    /// (`Engine::run_incremental`): the distinct sources of added edges
+    /// the prior values violate (relaxing the edge would change its
+    /// destination). At most the number of added edges, whatever the size
+    /// of the overlay; 0 for full runs.
     pub seeded_frontier: u64,
     /// Message-slab *bytes* of capacity served from the pool's free-list
     /// (recycled buffers) over the whole run. Byte-weighted so slabs of
@@ -114,6 +115,32 @@ pub struct RunReport<V> {
 }
 
 impl<V> RunReport<V> {
+    /// A completed run that ran no superstep: `values` are final as given.
+    pub(crate) fn unchanged(values: Vec<V>, elapsed: Duration) -> RunReport<V> {
+        RunReport {
+            values,
+            outcome: RunOutcome::Completed,
+            supersteps: 0,
+            step_times: Vec::new(),
+            activated: Vec::new(),
+            deltas: Vec::new(),
+            messages: 0,
+            dispatcher_messages: Vec::new(),
+            edges_streamed: 0,
+            edge_bytes_streamed: 0,
+            edges_skipped: 0,
+            frontier_density: Vec::new(),
+            seeded_frontier: 0,
+            pool_hit_bytes: 0,
+            pool_miss_bytes: 0,
+            phases: Vec::new(),
+            first_batch: Vec::new(),
+            elapsed,
+            retry_attempts: 0,
+            retry_causes: Vec::new(),
+        }
+    }
+
     /// Mean superstep wall time over the first `n` supersteps (the paper's
     /// five-superstep methodology). Uses fewer if fewer ran.
     pub fn mean_superstep(&self, n: usize) -> Duration {

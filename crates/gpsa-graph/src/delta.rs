@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::ops::Range;
+use std::ops::{Bound, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -141,33 +141,44 @@ impl DeltaLog {
     }
 }
 
-/// Per-source overlay state: which destinations are currently added or
-/// removed relative to the base record.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct VertexDelta {
-    /// Destinations in "added" state, ascending.
-    added: Vec<VertexId>,
+/// One source's removed destinations.
+#[derive(Debug, Clone, Default)]
+struct Removed {
     /// Destinations in "removed" state (base copies suppressed),
     /// ascending.
-    removed: Vec<VertexId>,
-    /// How many base-record occurrences the `removed` set suppresses
-    /// (duplicates counted), so effective degrees stay `O(1)`.
-    removed_base_occurrences: u32,
+    dsts: Vec<VertexId>,
+    /// How many base-record occurrences `dsts` suppresses (duplicates
+    /// counted), so effective degrees stay cheap.
+    base_occurrences: u32,
 }
 
-/// The in-memory merge state built by replaying delta batches against a
-/// base CSR. Immutable once sealed into a [`GraphSnapshot`]; mutations
-/// clone-and-apply into a fresh overlay so pinned snapshots never move.
+/// What a [`DeltaOverlay`] holds. Shared between clones until one of them
+/// applies a batch.
 #[derive(Debug, Clone, Default)]
-pub struct DeltaOverlay {
-    per_vertex: BTreeMap<VertexId, VertexDelta>,
-    added_total: u64,
+struct OverlayState {
+    /// Sources of the effective added edges, parallel to `added_dst`. The
+    /// pairs are sorted by `(src, dst)` and distinct, so one source's
+    /// added targets are one contiguous ascending run of `added_dst`.
+    added_src: Vec<VertexId>,
+    added_dst: Vec<VertexId>,
+    /// Sources with removed pairs — rare, so a small side map.
+    removed: BTreeMap<VertexId, Removed>,
     removed_total: u64,
     removed_pairs: u64,
     /// `1 + max endpoint` over effective added edges (0 when none) — how
     /// far the snapshot must grow past the base vertex range.
     virtual_end: usize,
     batches: u64,
+}
+
+/// The in-memory merge state built by replaying delta batches against a
+/// base CSR. Cloning is `O(1)`: clones share one state until one of them
+/// applies a batch, which copies the state only while another clone (a
+/// pinned [`GraphSnapshot`]) still shares it. A sealed snapshot therefore
+/// never moves.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaOverlay {
+    state: Arc<OverlayState>,
 }
 
 impl DeltaOverlay {
@@ -180,108 +191,251 @@ impl DeltaOverlay {
     /// and duplicate counts (an add of an edge already in the base is a
     /// no-op; a remove suppresses every base copy).
     pub fn apply(&mut self, base: &DiskCsr, batch: &DeltaBatch) {
-        let base_n = base.n_vertices();
-        let mut scratch = Vec::new();
+        let state = Arc::make_mut(&mut self.state);
         match batch {
-            DeltaBatch::Add(edges) => {
-                for e in edges {
-                    let vd = self.per_vertex.entry(e.src).or_default();
-                    let removed = vd.removed.binary_search(&e.dst).is_ok();
-                    let slot = vd.added.binary_search(&e.dst);
-                    let present = if removed {
-                        slot.is_ok()
-                    } else {
-                        slot.is_ok()
-                            || ((e.src as usize) < base_n
-                                && base_count(base, e.src, e.dst, &mut scratch) > 0)
-                    };
-                    if !present {
-                        if let Err(i) = slot {
-                            vd.added.insert(i, e.dst);
-                            self.added_total += 1;
-                        }
-                    }
-                }
-            }
-            DeltaBatch::Remove(edges) => {
-                for e in edges {
-                    let vd = self.per_vertex.entry(e.src).or_default();
-                    if let Ok(i) = vd.added.binary_search(&e.dst) {
-                        vd.added.remove(i);
-                        self.added_total -= 1;
-                    }
-                    if let Err(i) = vd.removed.binary_search(&e.dst) {
-                        vd.removed.insert(i, e.dst);
-                        self.removed_pairs += 1;
-                        if (e.src as usize) < base_n {
-                            let occ = base_count(base, e.src, e.dst, &mut scratch);
-                            vd.removed_base_occurrences += occ;
-                            self.removed_total += occ as u64;
-                        }
-                    }
-                }
-            }
+            DeltaBatch::Add(edges) => state.add(base, edges),
+            DeltaBatch::Remove(edges) => state.remove(base, edges),
         }
-        self.batches += 1;
-        self.virtual_end = self
-            .per_vertex
-            .iter()
-            .filter(|(_, vd)| !vd.added.is_empty())
-            .map(|(&v, vd)| (v.max(*vd.added.last().unwrap()) as usize) + 1)
-            .max()
-            .unwrap_or(0);
+        state.batches += 1;
     }
 
     /// Batches applied so far — the snapshot's *delta seq* within its
     /// epoch.
     pub fn batches(&self) -> u64 {
-        self.batches
+        self.state.batches
     }
 
     /// No batches applied (the overlay is a pass-through).
     pub fn is_empty(&self) -> bool {
-        self.batches == 0
+        self.state.batches == 0
     }
 
     /// Effective edges added on top of the base.
     pub fn added_edges(&self) -> u64 {
-        self.added_total
+        self.state.added_src.len() as u64
     }
 
     /// Base-record edge occurrences suppressed by removals.
     pub fn removed_edges(&self) -> u64 {
-        self.removed_total
+        self.state.removed_total
     }
 
     /// Whether any pair is in the removed state. Incremental recompute
     /// only re-converges monotone programs over *additions*; removals
     /// require a fresh run.
     pub fn has_removals(&self) -> bool {
-        self.removed_pairs > 0
+        self.state.removed_pairs > 0
     }
 
-    /// Visit every effective added edge `(src, dst)`, sources ascending,
-    /// destinations ascending within a source — the incremental
-    /// frontier's seed set.
-    pub fn for_each_added(&self, mut f: impl FnMut(VertexId, VertexId)) {
-        for (&v, vd) in &self.per_vertex {
-            for &t in &vd.added {
-                f(v, t);
-            }
-        }
+    /// Every source of an effective added edge, ascending, with its added
+    /// destinations (ascending) — one contiguous scan of the overlay.
+    fn added_by_source(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        let s = &*self.state;
+        let mut at = 0;
+        s.added_src.chunk_by(|a, b| a == b).map(move |run| {
+            let dsts = &s.added_dst[at..at + run.len()];
+            at += run.len();
+            (run[0], dsts)
+        })
     }
 
-    fn get(&self, v: VertexId) -> Option<&VertexDelta> {
-        self.per_vertex.get(&v)
-    }
-
+    /// `v`'s added destinations, ascending.
     fn added_slice(&self, v: VertexId) -> &[VertexId] {
-        self.per_vertex.get(&v).map_or(&[], |vd| &vd.added[..])
+        &self.state.added_dst[self.state.run(v)]
     }
 }
 
-/// Occurrences of `dst` in `src`'s base record (duplicates counted).
+/// An ascending cursor's place in the overlay, so that it finds each
+/// record's changes by walking forward instead of searching the whole
+/// overlay per record.
+#[derive(Debug)]
+struct OverlayPlace {
+    /// Index of the first added pair whose source is not below the ids
+    /// already asked for.
+    added: usize,
+    /// The next vertex the overlay touches (`VertexId::MAX` when none):
+    /// records below it stream straight from the base.
+    touched: VertexId,
+}
+
+impl OverlayPlace {
+    fn new(overlay: &DeltaOverlay, from: VertexId) -> OverlayPlace {
+        let s = &*overlay.state;
+        let added = s.added_src.partition_point(|&u| u < from);
+        OverlayPlace {
+            added,
+            touched: next_touched(s, added, (Bound::Included(from), Bound::Unbounded)),
+        }
+    }
+
+    /// Whether the overlay leaves `v`'s record alone — one comparison, for
+    /// every record over an empty overlay.
+    fn untouched(&self, v: VertexId) -> bool {
+        v < self.touched
+    }
+
+    /// The overlay's `(removed, added)` targets for `v`'s record, or
+    /// `None` when it leaves the record alone. Ids must ascend across
+    /// calls.
+    fn changes<'o>(
+        &mut self,
+        overlay: &'o DeltaOverlay,
+        v: VertexId,
+    ) -> Option<(&'o [VertexId], &'o [VertexId])> {
+        if self.untouched(v) {
+            return None;
+        }
+        let s = &*overlay.state;
+        // Gallop to `v`'s run: sequential cursors step a few pairs at a
+        // time, seeking ones jump.
+        let mut step = 1;
+        let mut hi = self.added;
+        while s.added_src.get(hi).is_some_and(|&u| u < v) {
+            self.added = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        let hi = hi.min(s.added_src.len());
+        self.added += s.added_src[self.added..hi].partition_point(|&u| u < v);
+        let start = self.added;
+        while s.added_src.get(self.added) == Some(&v) {
+            self.added += 1;
+        }
+        let removed = &s.removed_of(v).dsts[..];
+        self.touched = next_touched(s, self.added, (Bound::Excluded(v), Bound::Unbounded));
+        let added = &s.added_dst[start..self.added];
+        (!removed.is_empty() || !added.is_empty()).then_some((removed, added))
+    }
+}
+
+/// The smallest vertex in `after` the overlay touches, given that the
+/// added pairs from index `added` on are the ones with sources in `after`.
+fn next_touched(
+    s: &OverlayState,
+    added: usize,
+    after: (Bound<VertexId>, Bound<VertexId>),
+) -> VertexId {
+    let added = s.added_src.get(added).copied().unwrap_or(VertexId::MAX);
+    let removed = s
+        .removed
+        .range(after)
+        .next()
+        .map_or(VertexId::MAX, |(&u, _)| u);
+    added.min(removed)
+}
+
+impl OverlayState {
+    /// `v`'s removal entry; empty when `v` has none.
+    fn removed_of(&self, v: VertexId) -> &Removed {
+        static NONE: Removed = Removed {
+            dsts: Vec::new(),
+            base_occurrences: 0,
+        };
+        self.removed.get(&v).unwrap_or(&NONE)
+    }
+
+    /// Index range of `v`'s run in the added arrays.
+    fn run(&self, v: VertexId) -> Range<usize> {
+        let lo = self.added_src.partition_point(|&u| u < v);
+        lo..lo + self.added_src[lo..].partition_point(|&u| u == v)
+    }
+
+    /// Whether `(u, v)` is an effective added edge.
+    fn is_added(&self, u: VertexId, v: VertexId) -> bool {
+        self.added_dst[self.run(u)].binary_search(&v).is_ok()
+    }
+
+    fn add(&mut self, base: &DiskCsr, edges: &[Edge]) {
+        let mut scratch = Vec::new();
+        let mut new: Vec<(VertexId, VertexId)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+        new.sort_unstable();
+        new.dedup();
+        // An add inserts one copy iff the pair is not currently present:
+        // not added already, and not in the base unless removed since.
+        new.retain(|&(u, v)| {
+            if self.is_added(u, v) {
+                return false;
+            }
+            let removed = self.removed_of(u).dsts.binary_search(&v).is_ok();
+            removed || base_count(base, u, v, &mut scratch) == 0
+        });
+        for &(u, v) in &new {
+            self.virtual_end = self.virtual_end.max(u.max(v) as usize + 1);
+        }
+        // Merge from the back: each new pair shifts the block of older
+        // pairs above it once, so the whole batch costs one pass of
+        // block moves over the tail it lands in.
+        let old = self.added_src.len();
+        self.added_src.resize(old + new.len(), 0);
+        self.added_dst.resize(old + new.len(), 0);
+        let mut end = old;
+        for (j, &(u, v)) in new.iter().enumerate().rev() {
+            let at = {
+                let lo = self.added_src[..end].partition_point(|&s| s < u);
+                let hi = lo + self.added_src[lo..end].partition_point(|&s| s == u);
+                lo + self.added_dst[lo..hi].partition_point(|&d| d < v)
+            };
+            self.added_src.copy_within(at..end, at + j + 1);
+            self.added_dst.copy_within(at..end, at + j + 1);
+            self.added_src[at + j] = u;
+            self.added_dst[at + j] = v;
+            end = at;
+        }
+    }
+
+    fn remove(&mut self, base: &DiskCsr, edges: &[Edge]) {
+        let mut scratch = Vec::new();
+        let mut pairs: Vec<(VertexId, VertexId)> = edges.iter().map(|e| (e.src, e.dst)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut drops_added = false;
+        for &(u, v) in &pairs {
+            drops_added |= self.is_added(u, v);
+            let r = self.removed.entry(u).or_default();
+            if let Err(i) = r.dsts.binary_search(&v) {
+                r.dsts.insert(i, v);
+                self.removed_pairs += 1;
+                let occ = base_count(base, u, v, &mut scratch);
+                r.base_occurrences += occ;
+                self.removed_total += u64::from(occ);
+            }
+        }
+        if !drops_added {
+            return;
+        }
+        // Drop every removed pair from the added arrays in one pass; the
+        // graph may shrink back toward the base range.
+        let mut kept = 0;
+        let mut p = 0;
+        for i in 0..self.added_src.len() {
+            let e = (self.added_src[i], self.added_dst[i]);
+            while p < pairs.len() && pairs[p] < e {
+                p += 1;
+            }
+            if pairs.get(p) != Some(&e) {
+                self.added_src[kept] = e.0;
+                self.added_dst[kept] = e.1;
+                kept += 1;
+            }
+        }
+        self.added_src.truncate(kept);
+        self.added_dst.truncate(kept);
+        self.virtual_end = self
+            .added_src
+            .iter()
+            .zip(&self.added_dst)
+            .map(|(&u, &v)| u.max(v) as usize + 1)
+            .max()
+            .unwrap_or(0);
+    }
+}
+
+/// Occurrences of `dst` in `src`'s base record (duplicates counted; 0
+/// past the base range).
 fn base_count(base: &DiskCsr, src: VertexId, dst: VertexId, scratch: &mut Vec<u32>) -> u32 {
+    if (src as usize) >= base.n_vertices() {
+        return 0;
+    }
     base.record_into(src, scratch)
         .targets
         .iter()
@@ -289,21 +443,26 @@ fn base_count(base: &DiskCsr, src: VertexId, dst: VertexId, scratch: &mut Vec<u3
         .count() as u32
 }
 
-/// Filter `base_targets` through the removed set and append the added
-/// targets — the merged record convention.
-fn merge_targets(base_targets: &[VertexId], vd: &VertexDelta, out: &mut Vec<VertexId>) {
+/// Filter `base_targets` through `removed` and append `added` — the
+/// merged record convention.
+fn merge_targets(
+    base_targets: &[VertexId],
+    removed: &[VertexId],
+    added: &[VertexId],
+    out: &mut Vec<VertexId>,
+) {
     out.clear();
-    if vd.removed.is_empty() {
+    if removed.is_empty() {
         out.extend_from_slice(base_targets);
     } else {
         out.extend(
             base_targets
                 .iter()
                 .copied()
-                .filter(|t| vd.removed.binary_search(t).is_err()),
+                .filter(|t| removed.binary_search(t).is_err()),
         );
     }
-    out.extend_from_slice(&vd.added);
+    out.extend_from_slice(added);
 }
 
 /// One immutable version of a live graph: a base [`DiskCsr`] plus a
@@ -338,9 +497,9 @@ pub fn open_live<P: AsRef<Path>>(csr_path: P) -> io::Result<(GraphSnapshot, Delt
 impl GraphSnapshot {
     /// Seal `overlay` over `base`.
     pub fn new(base: Arc<DiskCsr>, overlay: Arc<DeltaOverlay>) -> GraphSnapshot {
-        let n_vertices = base.n_vertices().max(overlay.virtual_end);
+        let n_vertices = base.n_vertices().max(overlay.state.virtual_end);
         let n_edges =
-            (base.n_edges() as u64 + overlay.added_total - overlay.removed_total) as usize;
+            (base.n_edges() as u64 + overlay.added_edges() - overlay.removed_edges()) as usize;
         GraphSnapshot {
             base,
             overlay,
@@ -367,7 +526,7 @@ impl GraphSnapshot {
 
     /// Overlay batches folded into this snapshot (its *delta seq*).
     pub fn delta_seq(&self) -> u64 {
-        self.overlay.batches
+        self.overlay.batches()
     }
 
     /// Vertices in the merged graph (base range, grown to cover overlay
@@ -445,35 +604,58 @@ impl GraphSnapshot {
         self.base.record_overhead_words()
     }
 
-    /// Effective out-degree of `v` — `O(1)` via the base index plus the
-    /// overlay's precomputed suppression counts.
+    /// Effective out-degree of `v`: the base index, minus the overlay's
+    /// precomputed suppression count, plus `v`'s added run (a binary
+    /// search). The dense dispatcher asks once per active vertex, so an
+    /// empty overlay answers from the base index alone.
     pub fn degree(&self, v: VertexId) -> u32 {
         assert!((v as usize) < self.n_vertices, "vertex {v} out of range");
+        if self.overlay.is_empty() {
+            return self.base.degree(v);
+        }
+        self.degree_with(v, self.overlay.state.run(v).len())
+    }
+
+    /// `v`'s base degree, minus the base copies its removals suppress,
+    /// plus `added`.
+    fn degree_with(&self, v: VertexId, added: usize) -> u32 {
         let base_deg = if (v as usize) < self.base.n_vertices() {
             self.base.degree(v)
         } else {
             0
         };
-        match self.overlay.get(v) {
-            None => base_deg,
-            Some(vd) => base_deg - vd.removed_base_occurrences + vd.added.len() as u32,
-        }
+        base_deg - self.overlay.state.removed_of(v).base_occurrences + added as u32
     }
 
     /// Sum of effective out-degrees over an id range (the edge-balanced
-    /// partitioner's weight function).
+    /// partitioner's weight function): the base index, plus the added
+    /// pairs whose source falls in the range (two binary searches), minus
+    /// the range's removals.
     pub fn edges_in_range(&self, vertices: Range<VertexId>) -> u64 {
         let (s, e) = self.clamp(&vertices);
-        let mut total = if s >= e {
+        let state = &*self.overlay.state;
+        let base = if s >= e {
             0
         } else {
             self.base.edges_in_range(s..e)
         };
-        for (_, vd) in self.overlay.per_vertex.range(vertices) {
-            total += vd.added.len() as u64;
-            total -= vd.removed_base_occurrences as u64;
-        }
-        total
+        let below = |v: VertexId| state.added_src.partition_point(|&u| u < v) as u64;
+        let added = below(vertices.end).saturating_sub(below(vertices.start));
+        let removed: u64 = state
+            .removed
+            .range(vertices)
+            .map(|(_, r)| u64::from(r.base_occurrences))
+            .sum();
+        base + added - removed
+    }
+
+    /// Every source of an effective added edge, ascending, with its
+    /// effective out-degree and its added destinations (ascending) — the
+    /// walk incremental recompute seeds its frontier from.
+    pub fn added_by_source(&self) -> impl Iterator<Item = (VertexId, u32, &[VertexId])> + '_ {
+        self.overlay
+            .added_by_source()
+            .map(|(u, dsts)| (u, self.degree_with(u, dsts.len()), dsts))
     }
 
     /// Random access to one merged record (see [`DiskCsr::record_into`]).
@@ -487,17 +669,17 @@ impl GraphSnapshot {
                 targets,
             };
         }
-        match self.overlay.get(v) {
-            None => self.base.record_into(v, scratch),
-            Some(vd) => {
-                let base_targets = self.base.targets(v);
-                merge_targets(&base_targets, vd, scratch);
-                VertexEdges {
-                    vid: v,
-                    degree: scratch.len() as u32,
-                    targets: &scratch[..],
-                }
-            }
+        let removed = &self.overlay.state.removed_of(v).dsts[..];
+        let added = self.overlay.added_slice(v);
+        if removed.is_empty() && added.is_empty() {
+            return self.base.record_into(v, scratch);
+        }
+        let base_targets = self.base.targets(v);
+        merge_targets(&base_targets, removed, added, scratch);
+        VertexEdges {
+            vid: v,
+            degree: scratch.len() as u32,
+            targets: &scratch[..],
         }
     }
 
@@ -516,6 +698,7 @@ impl GraphSnapshot {
             base: (s < e).then(|| self.base.cursor(s..e)),
             next: vertices.start,
             end: vertices.end,
+            place: OverlayPlace::new(&self.overlay, vertices.start),
             scratch: Vec::new(),
         }
     }
@@ -526,6 +709,7 @@ impl GraphSnapshot {
         SnapshotSeekCursor {
             snap: self,
             base: self.base.seek_cursor(),
+            place: OverlayPlace::new(&self.overlay, 0),
             scratch: Vec::new(),
         }
     }
@@ -605,6 +789,7 @@ pub struct SnapshotCursor<'a> {
     base: Option<EdgeCursor<'a>>,
     next: VertexId,
     end: VertexId,
+    place: OverlayPlace,
     scratch: Vec<u32>,
 }
 
@@ -619,11 +804,13 @@ impl SnapshotCursor<'_> {
         let SnapshotCursor {
             snap,
             base,
+            place,
             scratch,
             ..
         } = self;
+        let changes = place.changes(&snap.overlay, v);
         if (v as usize) >= snap.base.n_vertices() {
-            let targets = snap.overlay.added_slice(v);
+            let targets = changes.map_or(&[][..], |(_, added)| added);
             return Some(VertexEdges {
                 vid: v,
                 degree: targets.len() as u32,
@@ -635,17 +822,15 @@ impl SnapshotCursor<'_> {
             .expect("base cursor covers the clamped range")
             .next_rec()
             .expect("base cursor in step with vertex ids");
-        match snap.overlay.get(v) {
-            None => Some(rec),
-            Some(vd) => {
-                merge_targets(rec.targets, vd, scratch);
-                Some(VertexEdges {
-                    vid: v,
-                    degree: scratch.len() as u32,
-                    targets: &scratch[..],
-                })
-            }
-        }
+        let Some((removed, added)) = changes else {
+            return Some(rec);
+        };
+        merge_targets(rec.targets, removed, added, scratch);
+        Some(VertexEdges {
+            vid: v,
+            degree: scratch.len() as u32,
+            targets: &scratch[..],
+        })
     }
 
     /// See [`EdgeCursor::peek_vid`].
@@ -673,7 +858,7 @@ impl SnapshotCursor<'_> {
     pub fn take_rec_into(&mut self, out: &mut Vec<u32>) -> (VertexId, u32) {
         debug_assert!(self.next < self.end, "take_rec_into past the end");
         let v = self.next;
-        if (v as usize) < self.snap.base.n_vertices() && self.snap.overlay.get(v).is_none() {
+        if (v as usize) < self.snap.base.n_vertices() && self.place.untouched(v) {
             self.next += 1;
             return self
                 .base
@@ -705,6 +890,7 @@ impl SnapshotCursor<'_> {
 pub struct SnapshotSeekCursor<'a> {
     snap: &'a GraphSnapshot,
     base: SeekCursor<'a>,
+    place: OverlayPlace,
     scratch: Vec<u32>,
 }
 
@@ -718,10 +904,12 @@ impl SnapshotSeekCursor<'_> {
         let SnapshotSeekCursor {
             snap,
             base,
+            place,
             scratch,
         } = self;
+        let changes = place.changes(&snap.overlay, v);
         if (v as usize) >= snap.base.n_vertices() {
-            let targets = snap.overlay.added_slice(v);
+            let targets = changes.map_or(&[][..], |(_, added)| added);
             return VertexEdges {
                 vid: v,
                 degree: targets.len() as u32,
@@ -729,16 +917,14 @@ impl SnapshotSeekCursor<'_> {
             };
         }
         let rec = base.record(v);
-        match snap.overlay.get(v) {
-            None => rec,
-            Some(vd) => {
-                merge_targets(rec.targets, vd, scratch);
-                VertexEdges {
-                    vid: v,
-                    degree: scratch.len() as u32,
-                    targets: &scratch[..],
-                }
-            }
+        let Some((removed, added)) = changes else {
+            return rec;
+        };
+        merge_targets(rec.targets, removed, added, scratch);
+        VertexEdges {
+            vid: v,
+            degree: scratch.len() as u32,
+            targets: &scratch[..],
         }
     }
 
@@ -892,6 +1078,16 @@ mod tests {
         assert!(cur.next_rec().is_none(), "{tag}: cursor past the end");
         assert_eq!(cur.words_read(), snap.words_in_range(0..n), "{tag}: words");
         assert_eq!(cur.bytes_read(), snap.bytes_in_range(0..n), "{tag}: bytes");
+        for stride in [3, 7] {
+            let mut seek = snap.seek_cursor();
+            for (v, want) in adj.iter().enumerate().skip(1).step_by(stride) {
+                assert_eq!(
+                    seek.record(v as VertexId).targets,
+                    &want[..],
+                    "{tag}: seek {v} by {stride}"
+                );
+            }
+        }
         let mut seek = snap.seek_cursor();
         let mut scratch = Vec::new();
         for (v, want) in adj.iter().enumerate().step_by(2) {
@@ -1026,18 +1222,19 @@ mod tests {
         let s = snapshot(&base, &[DeltaBatch::Remove(vec![Edge::new(2, 0)])]);
         assert_eq!(s.n_edges(), 6);
         assert!(s.overlay().has_removals());
-        // for_each_added yields effective adds only, in order.
+        // added_by_source yields effective adds only, in order.
         let s = snapshot(
             &base,
             &[
-                DeltaBatch::Add(vec![Edge::new(2, 3), Edge::new(1, 2)]),
+                DeltaBatch::Add(vec![Edge::new(2, 3), Edge::new(1, 2), Edge::new(1, 1)]),
                 DeltaBatch::Remove(vec![Edge::new(2, 3)]),
             ],
         );
-        let mut seen = Vec::new();
-        s.overlay().for_each_added(|u, v| seen.push((u, v)));
-        assert_eq!(seen, vec![(1, 2)]);
-        assert_eq!(s.overlay().added_edges(), 1);
+        let seen: Vec<_> = s.overlay().added_by_source().collect();
+        assert_eq!(seen, vec![(1, &[1, 2][..])]);
+        let seen: Vec<_> = s.added_by_source().collect();
+        assert_eq!(seen, vec![(1, 3, &[1, 2][..])]);
+        assert_eq!(s.overlay().added_edges(), 2);
     }
 
     #[test]
@@ -1248,6 +1445,67 @@ mod tests {
                 std::fs::read(index_path(&compacted)).unwrap(),
                 std::fs::read(index_path(&scratch_path)).unwrap()
             );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Copy-on-write isolation: a snapshot sealed before `apply` keeps
+        /// its whole view — edge count, degrees, records, edge list —
+        /// whatever add and remove batches a clone of its overlay takes
+        /// afterwards, while the clone lands where the oracle says.
+        #[test]
+        fn prop_pinned_snapshot_survives_applies_to_a_clone(
+            base_n in 1usize..12,
+            raw in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
+            ops in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec((0u32..16, 0u32..16), 1..8)),
+                1..8
+            ),
+            pinned_at in 0usize..8,
+        ) {
+            let case = PROP_CASE.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("gpsa-delta-cow-{}", std::process::id()))
+                .join(format!("case-{case}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let edges: Vec<Edge> = raw
+                .iter()
+                .map(|&(u, v)| Edge::new(u % base_n as u32, v % base_n as u32))
+                .collect();
+            let base = materialize(
+                &dir,
+                "base",
+                EdgeList::with_vertices(edges.clone(), base_n),
+                &PreprocessOptions::default(),
+            );
+            let batches: Vec<DeltaBatch> = ops
+                .iter()
+                .map(|(rm, es)| {
+                    let es: Vec<Edge> = es.iter().map(|&(u, v)| Edge::new(u, v)).collect();
+                    if *rm { DeltaBatch::Remove(es) } else { DeltaBatch::Add(es) }
+                })
+                .collect();
+            let pinned_at = pinned_at.min(batches.len());
+
+            let mut overlay = DeltaOverlay::new();
+            for b in &batches[..pinned_at] {
+                overlay.apply(&base, b);
+            }
+            let pinned = GraphSnapshot::new(base.clone(), Arc::new(overlay.clone()));
+            let view = |s: &GraphSnapshot| {
+                let n = s.n_vertices() as VertexId;
+                let degrees: Vec<u32> = (0..n).map(|v| s.degree(v)).collect();
+                let records: Vec<Vec<VertexId>> = (0..n).map(|v| s.targets(v)).collect();
+                (s.n_edges(), degrees, records, s.to_edge_list().edges)
+            };
+            let before = view(&pinned);
+            for b in &batches[pinned_at..] {
+                overlay.apply(&base, b);
+                prop_assert_eq!(&view(&pinned), &before);
+            }
+            let (adj, _) = oracle_adjacency(&edges, base_n, &batches);
+            assert_matches_oracle(&GraphSnapshot::new(base, Arc::new(overlay)), &adj, "clone");
+            let (adj, _) = oracle_adjacency(&edges, base_n, &batches[..pinned_at]);
+            assert_matches_oracle(&pinned, &adj, "pinned");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
