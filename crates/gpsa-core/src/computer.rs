@@ -31,8 +31,6 @@ use crate::manager::{Manager, ManagerMsg};
 use crate::program::{GraphMeta, VertexProgram};
 use crate::slab::{MsgSlab, MsgSlabPool, OverlapStats};
 use crate::value_file::ValueFile;
-use crate::word::{clear_flag, is_flagged};
-use crate::VertexValue;
 
 /// Mailbox protocol of a compute actor.
 pub(crate) enum ComputeCmd<M> {
@@ -116,47 +114,9 @@ impl<P: VertexProgram> Computer<P> {
     }
 
     fn flush(&mut self, superstep: u64, update_col: u32) {
-        let dispatch_col = 1 - update_col;
-        let mut activated = 0u64;
-        let mut delta = 0.0f64;
-        // Dense-program sweep first: owned vertices whose update slot is
-        // still flagged received no messages; give them their no-message
-        // value (e.g. PageRank's base term). Runs before the dirty pass so
-        // dirty-but-unchanged vertices (re-flagged below) are not mistaken
-        // for message-less ones.
-        for &v in &self.owned {
-            let u_bits = self.values.load(update_col, v);
-            if !is_flagged(u_bits) {
-                continue;
-            }
-            let d = P::Value::from_bits(clear_flag(self.values.load(dispatch_col, v)));
-            let u = P::Value::from_bits(clear_flag(u_bits));
-            let basis = self.program.freshest(d, u);
-            let new = self.program.no_message_value(v, basis, &self.meta);
-            if self.program.changed(basis, new) {
-                self.values.store(update_col, v, new.to_bits());
-                self.values.frontier().mark(update_col, v);
-                activated += 1;
-                delta += self.program.delta(basis, new);
-            } else {
-                self.values
-                    .store(update_col, v, crate::word::set_flag(new.to_bits()));
-            }
-        }
-        for &(v, basis) in &self.dirty {
-            let final_v = P::Value::from_bits(clear_flag(self.values.load(update_col, v)));
-            if self.program.changed(basis, final_v) {
-                activated += 1;
-                delta += self.program.delta(basis, final_v);
-            } else {
-                // No real update: re-flag so next superstep's dispatcher
-                // skips the vertex (and its first message re-seeds), and
-                // lower its frontier bit to keep the bitmap exact.
-                self.values.invalidate(update_col, v);
-                self.values.frontier().unmark(update_col, v);
-            }
-        }
-        self.dirty.clear();
+        let (activated, delta) =
+            FoldCtx::new(&self.values, &self.meta, update_col, &mut self.dirty)
+                .flush(&*self.program, &self.owned);
         let messages = std::mem::take(&mut self.messages);
         let _ = self.manager.send(ManagerMsg::ComputeOver {
             superstep,

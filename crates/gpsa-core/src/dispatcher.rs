@@ -67,7 +67,7 @@ use crate::config::DispatchMode;
 use crate::manager::{Manager, ManagerMsg};
 use crate::partition::DispatchAssignment;
 use crate::program::{GraphMeta, VertexProgram};
-use crate::slab::{MsgSlab, MsgSlabPool};
+use crate::slab::{split_run, MsgSlab, MsgSlabPool};
 use crate::value_file::ValueFile;
 use crate::word::{clear_flag, is_flagged};
 use crate::Router;
@@ -187,12 +187,9 @@ impl<P: VertexProgram> Dispatcher<P> {
                 *sent += self.flush_buffer(0, update_col);
             }
         } else {
-            for &dst in targets {
-                let owner = self.router.route(dst);
-                self.buffers[owner].dst_buf_mut().push(dst);
-            }
+            let router = &self.router;
+            split_run(&mut self.buffers, targets, msg, |dst| router.route(dst));
             for owner in 0..self.buffers.len() {
-                self.buffers[owner].close_run(msg);
                 if self.buffers[owner].len() >= self.msg_batch {
                     *sent += self.flush_buffer(owner, update_col);
                 }

@@ -132,6 +132,56 @@ impl<'a, P: VertexProgram> FoldCtx<'a, P> {
             }
         }
     }
+
+    /// The COMPUTE_OVER pass that ends a computer's superstep, shared by
+    /// the engine's and the cluster's compute actors. Returns the
+    /// `(activated, delta)` tallies and empties the dirty list.
+    ///
+    /// `owned` lists the vertices an always-dispatch (dense) program must
+    /// re-evaluate even without messages; it is empty for sparse
+    /// programs. Those vertices go first: a still-flagged update slot
+    /// got no message, so it takes its no-message value (PageRank's base
+    /// term). The dirty pass runs after it, so dirty-but-unchanged
+    /// vertices (re-flagged there) are not mistaken for message-less
+    /// ones. A dirty vertex whose final accumulator does not count as
+    /// changed against its saved basis is re-flagged, so the next
+    /// superstep's dispatcher skips it and its first message re-seeds,
+    /// and its frontier bit is lowered to keep the bitmap exact.
+    pub fn flush(self, program: &P, owned: &[VertexId]) -> (u64, f64) {
+        let (values, meta, update_col) = (self.values, self.meta, self.update_col);
+        let mut activated = 0u64;
+        let mut delta = 0.0f64;
+        for &v in owned {
+            let u_bits = values.load(update_col, v);
+            if !is_flagged(u_bits) {
+                continue;
+            }
+            let d = P::Value::from_bits(clear_flag(values.load(1 - update_col, v)));
+            let u = P::Value::from_bits(clear_flag(u_bits));
+            let basis = program.freshest(d, u);
+            let new = program.no_message_value(v, basis, meta);
+            if program.changed(basis, new) {
+                values.store(update_col, v, new.to_bits());
+                values.frontier().mark(update_col, v);
+                activated += 1;
+                delta += program.delta(basis, new);
+            } else {
+                values.store(update_col, v, crate::word::set_flag(new.to_bits()));
+            }
+        }
+        for &(v, basis) in self.dirty.iter() {
+            let final_v = P::Value::from_bits(clear_flag(values.load(update_col, v)));
+            if program.changed(basis, final_v) {
+                activated += 1;
+                delta += program.delta(basis, final_v);
+            } else {
+                values.invalidate(update_col, v);
+                values.frontier().unmark(update_col, v);
+            }
+        }
+        self.dirty.clear();
+        (activated, delta)
+    }
 }
 
 /// u32 min-fold kernel with a per-message candidate function: folds

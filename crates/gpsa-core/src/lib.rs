@@ -76,7 +76,7 @@ pub use partition::{
 };
 pub use program::{GraphMeta, VertexProgram};
 pub use report::{PhaseBreakdown, RunOutcome, RunReport};
-pub use slab::{MsgSlab, MsgSlabPool};
+pub use slab::{split_run, MsgSlab, MsgSlabPool};
 pub use sync_engine::SyncEngine;
 pub use value::VertexValue;
 pub use value_file::{crc32, ValueFile, ValueFileError, ValueFileHeader};

@@ -104,23 +104,6 @@ pub trait VertexProgram: Send + Sync + 'static {
         basis
     }
 
-    /// Does this program support message combining? When `true`, the
-    /// distributed dispatcher (`gpsa-dist`) sorts each outgoing batch and
-    /// merges same-destination messages via [`combine`](Self::combine)
-    /// before sending — the Pregel-combiner optimization. Only that
-    /// dispatcher uses it; the single-machine engine never combines. Sound only when `compute`
-    /// folds messages associatively and commutatively (min for BFS/CC,
-    /// sum for PageRank).
-    fn combines(&self) -> bool {
-        false
-    }
-
-    /// Merge two messages addressed to the same destination vertex. Only
-    /// called when [`combines`](Self::combines) returns `true`.
-    fn combine(&self, _a: Self::MsgVal, _b: Self::MsgVal) -> Self::MsgVal {
-        unreachable!("combines() returned true but combine() is not implemented")
-    }
-
     /// Fold one whole message slab into the update column — the batch
     /// hot path. The default replays the slab through the scalar
     /// per-message [`compute`](Self::compute) protocol via

@@ -80,14 +80,6 @@ impl VertexProgram for PageRank {
         true
     }
 
-    fn combines(&self) -> bool {
-        true
-    }
-
-    fn combine(&self, a: f32, b: f32) -> f32 {
-        a + b // rank shares sum; compute() is linear in the message
-    }
-
     fn fold_batch(&self, slab: &MsgSlab<f32>, ctx: &mut FoldCtx<'_, Self>) {
         kernels::fold_sum_f32(self, slab, ctx, self.damping);
     }
@@ -143,14 +135,6 @@ impl VertexProgram for Bfs {
         a.min(b)
     }
 
-    fn combines(&self) -> bool {
-        true
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
     fn fold_batch(&self, slab: &MsgSlab<u32>, ctx: &mut FoldCtx<'_, Self>) {
         kernels::fold_min_u32(self, slab, ctx);
     }
@@ -190,14 +174,6 @@ impl VertexProgram for ConnectedComponents {
     }
 
     fn freshest(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
-    fn combines(&self) -> bool {
-        true
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
         a.min(b)
     }
 
@@ -313,14 +289,6 @@ impl VertexProgram for InDegree {
     fn freshest(&self, _a: u32, b: u32) -> u32 {
         b
     }
-
-    fn combines(&self) -> bool {
-        true
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a + b
-    }
 }
 
 /// K-core decomposition membership by iterative peeling (an extension
@@ -413,14 +381,6 @@ impl VertexProgram for KCore {
     // REMOVED (0) absorbing.
     fn freshest(&self, a: u32, b: u32) -> u32 {
         a.min(b)
-    }
-
-    fn combines(&self) -> bool {
-        true
-    }
-
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a + b // decrements sum
     }
 }
 

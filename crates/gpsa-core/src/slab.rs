@@ -180,6 +180,26 @@ impl<M: Copy> MsgSlab<M> {
     }
 }
 
+/// Append one dispatched record's messages to per-owner buffers, as
+/// one run per owner: each target lands in `buffers[owner_of(target)]`,
+/// and every buffer that received any seals them as one run carrying
+/// `msg`. Per-owner destination order is the record's order, so a fold
+/// sees the same per-vertex sequence it would from an unsplit run.
+#[inline]
+pub fn split_run<M: Copy>(
+    buffers: &mut [MsgSlab<M>],
+    targets: &[VertexId],
+    msg: M,
+    mut owner_of: impl FnMut(VertexId) -> usize,
+) {
+    for &dst in targets {
+        buffers[owner_of(dst)].dst.push(dst);
+    }
+    for buf in buffers {
+        buf.close_run(msg);
+    }
+}
+
 /// Iterator over a slab's runs. See [`MsgSlab::runs`].
 #[derive(Debug)]
 pub struct Runs<'a, M> {

@@ -3,6 +3,14 @@
 //! actor knows which *node* it lives on, state accesses go to that node's
 //! value-file shard, and cross-node sends are tallied in the
 //! [`TrafficMatrix`].
+//!
+//! The hot path is the engine's own: dispatchers emit each record as
+//! runs into one [`MsgSlab`] per computer ([`gpsa::split_run`], the
+//! engine dispatcher's multi-computer path), slabs cycle through the
+//! cluster's [`MsgSlabPool`], computers fold a slab with the
+//! program's [`VertexProgram::fold_batch`] kernel and end the superstep
+//! with [`FoldCtx::flush`] — the same function the engine's computer
+//! calls. Nothing is combined at push time.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +19,10 @@ use std::time::Instant;
 
 use actor::{Actor, Addr, Ctx};
 use crossbeam_channel::Sender;
-use gpsa::{clear_flag, is_flagged, GraphMeta, Termination, ValueFile, VertexProgram, VertexValue};
+use gpsa::{
+    clear_flag, is_flagged, split_run, FoldCtx, GraphMeta, MsgSlab, MsgSlabPool, Termination,
+    ValueFile, VertexProgram, VertexValue,
+};
 use gpsa_graph::{DiskCsr, VertexId};
 
 use crate::manifest::{BarrierRecord, ClusterManifest};
@@ -22,20 +33,24 @@ use crate::traffic::TrafficMatrix;
 #[derive(Debug, Clone)]
 pub(crate) struct DistRouter {
     pub n_nodes: usize,
-    pub per_node: usize,
+    /// Vertices per node (the last node takes the remainder). A
+    /// `VertexId`, so the per-message routing divides in 32 bits, which
+    /// is cheaper than a 64-bit divide on x86-64.
+    pub per_node: VertexId,
     pub computers_per_node: usize,
 }
 
 impl DistRouter {
     #[inline]
     pub fn node_of_vertex(&self, v: VertexId) -> usize {
-        (v as usize / self.per_node).min(self.n_nodes - 1)
+        ((v / self.per_node) as usize).min(self.n_nodes - 1)
     }
 
     /// Index into the global computer list.
     #[inline]
     pub fn computer_of_vertex(&self, v: VertexId) -> usize {
-        self.node_of_vertex(v) * self.computers_per_node + (v as usize % self.computers_per_node)
+        self.node_of_vertex(v) * self.computers_per_node
+            + (v % self.computers_per_node as VertexId) as usize
     }
 
     #[inline]
@@ -45,11 +60,12 @@ impl DistRouter {
 
     /// Vertex range owned by `node`.
     pub fn node_range(&self, node: usize, n_vertices: usize) -> Range<VertexId> {
-        let lo = (node * self.per_node).min(n_vertices);
+        let per = self.per_node as usize;
+        let lo = (node * per).min(n_vertices);
         let hi = if node + 1 == self.n_nodes {
             n_vertices
         } else {
-            ((node + 1) * self.per_node).min(n_vertices)
+            ((node + 1) * per).min(n_vertices)
         };
         lo as VertexId..hi as VertexId
     }
@@ -88,12 +104,7 @@ mod router_tests {
 
     #[test]
     fn node_ranges_tile_the_vertex_space() {
-        for (n, nodes, per) in [
-            (30usize, 3usize, 10usize),
-            (31, 3, 11),
-            (5, 4, 2),
-            (7, 7, 1),
-        ] {
+        for (n, nodes, per) in [(30usize, 3usize, 10u32), (31, 3, 11), (5, 4, 2), (7, 7, 1)] {
             let r = DistRouter {
                 n_nodes: nodes,
                 per_node: per,
@@ -132,9 +143,11 @@ mod router_tests {
 }
 
 pub(crate) enum ComputeCmd<M> {
+    /// A slab of message runs on loan from the run's pool; the computer
+    /// releases it back after folding.
     Batch {
         update_col: u32,
-        msgs: Box<[(VertexId, M)]>,
+        slab: MsgSlab<M>,
     },
     Flush {
         superstep: u64,
@@ -179,10 +192,15 @@ pub(crate) struct DistDispatcher<P: VertexProgram> {
     pub computers: Vec<Addr<DistComputer<P>>>,
     pub coordinator: Addr<Coordinator<P>>,
     pub traffic: Arc<TrafficMatrix>,
-    pub buffers: Vec<Vec<(VertexId, P::MsgVal)>>,
+    /// One outgoing slab per global computer, flushed at `msg_batch`
+    /// destinations.
+    pub buffers: Vec<MsgSlab<P::MsgVal>>,
+    /// Slab free-list shared by every actor (kept by the `Cluster`).
+    pub pool: Arc<MsgSlabPool<P::MsgVal>>,
+    /// Decode buffer for a record's targets before they are split.
+    pub scratch: Vec<VertexId>,
     pub msg_batch: usize,
     pub always_dispatch: bool,
-    pub combine: bool,
     /// Superstep currently being dispatched (chaos batch faults key on it).
     pub superstep: u64,
     /// Cluster recovery epoch: bumped by the recovery loop when this
@@ -204,20 +222,8 @@ impl<P: VertexProgram> DistDispatcher<P> {
     }
 
     fn flush_buffer(&mut self, owner: usize, update_col: u32) {
-        let mut buf = std::mem::take(&mut self.buffers[owner]);
-        if buf.is_empty() {
+        if self.buffers[owner].is_empty() {
             return;
-        }
-        if self.combine {
-            buf.sort_unstable_by_key(|&(dst, _)| dst);
-            let mut out: Vec<(VertexId, P::MsgVal)> = Vec::with_capacity(buf.len());
-            for (dst, msg) in buf {
-                match out.last_mut() {
-                    Some((d, m)) if *d == dst => *m = self.program.combine(*m, msg),
-                    _ => out.push((dst, msg)),
-                }
-            }
-            buf = out;
         }
         #[cfg(feature = "chaos")]
         if self.router.node_of_computer(owner) != self.node {
@@ -241,16 +247,14 @@ impl<P: VertexProgram> DistDispatcher<P> {
                 }
             }
         }
+        let slab = std::mem::replace(&mut self.buffers[owner], self.pool.acquire());
         // Tally the (simulated) wire: messages leaving this node.
         self.traffic.record(
             self.node,
             self.router.node_of_computer(owner),
-            buf.len() as u64,
+            slab.len() as u64,
         );
-        let _ = self.computers[owner].send(ComputeCmd::Batch {
-            update_col,
-            msgs: buf.into_boxed_slice(),
-        });
+        let _ = self.computers[owner].send(ComputeCmd::Batch { update_col, slab });
     }
 
     fn run_superstep(&mut self, superstep: u64, dispatch_col: u32) {
@@ -269,26 +273,41 @@ impl<P: VertexProgram> DistDispatcher<P> {
         }
         let update_col = 1 - dispatch_col;
         let graph = self.graph.clone();
+        let values = self.values.clone();
         let mut cursor = graph.cursor(self.interval.clone());
-        while let Some(rec) = cursor.next_rec() {
+        // The engine dispatcher's dense sweep: the flag is checked before
+        // the record is decoded, and a dispatched record's targets are
+        // split into one run per owning computer.
+        while let Some(vid) = cursor.peek_vid() {
             if self.abandoned() {
                 return;
             }
-            let bits = self.values.load(dispatch_col, rec.vid);
+            let bits = values.load(dispatch_col, vid);
             if !self.always_dispatch && is_flagged(bits) {
+                cursor.skip_rec();
                 continue;
             }
             let value = P::Value::from_bits(clear_flag(bits));
-            if let Some(msg) = self.program.gen_msg(rec.vid, value, rec.degree, &self.meta) {
-                for &dst in rec.targets {
-                    let owner = self.router.computer_of_vertex(dst);
-                    self.buffers[owner].push((dst, msg));
-                    if self.buffers[owner].len() >= self.msg_batch {
-                        self.flush_buffer(owner, update_col);
+            match self
+                .program
+                .gen_msg(vid, value, graph.degree(vid), &self.meta)
+            {
+                None => cursor.skip_rec(),
+                Some(msg) => {
+                    self.scratch.clear();
+                    cursor.take_rec_into(&mut self.scratch);
+                    let router = &self.router;
+                    split_run(&mut self.buffers, &self.scratch, msg, |dst| {
+                        router.computer_of_vertex(dst)
+                    });
+                    for owner in 0..self.buffers.len() {
+                        if self.buffers[owner].len() >= self.msg_batch {
+                            self.flush_buffer(owner, update_col);
+                        }
                     }
                 }
             }
-            self.values.invalidate(dispatch_col, rec.vid);
+            values.invalidate(dispatch_col, vid);
         }
         for owner in 0..self.buffers.len() {
             self.flush_buffer(owner, update_col);
@@ -322,8 +341,13 @@ pub(crate) struct DistComputer<P: VertexProgram> {
     pub values: Arc<ValueFile>,
     pub meta: GraphMeta,
     pub coordinator: Addr<Coordinator<P>>,
+    /// First-message bookkeeping handed to [`FoldCtx`] (see the engine's
+    /// computer).
     pub dirty: Vec<(VertexId, P::Value)>,
+    /// Vertices an always-dispatch program re-evaluates every superstep.
     pub owned: Vec<VertexId>,
+    /// Slab free-list shared by every actor (kept by the `Cluster`).
+    pub pool: Arc<MsgSlabPool<P::MsgVal>>,
     pub messages: u64,
     /// Cluster recovery epoch (see [`DistDispatcher::epoch`]).
     pub epoch: Arc<AtomicU64>,
@@ -338,23 +362,14 @@ impl<P: VertexProgram> DistComputer<P> {
         self.epoch.load(Ordering::Relaxed) != self.my_epoch
     }
 
-    #[inline]
-    fn fold(&mut self, update_col: u32, v: VertexId, msg: P::MsgVal) {
-        let dispatch_col = 1 - update_col;
-        let u_bits = self.values.load(update_col, v);
-        let new = if is_flagged(u_bits) {
-            let d = P::Value::from_bits(clear_flag(self.values.load(dispatch_col, v)));
-            let u = P::Value::from_bits(clear_flag(u_bits));
-            let basis = self.program.freshest(d, u);
-            self.dirty.push((v, basis));
-            self.program.compute(v, None, basis, msg, &self.meta)
-        } else {
-            let acc = P::Value::from_bits(u_bits);
-            let basis = P::Value::from_bits(clear_flag(self.values.load(dispatch_col, v)));
-            self.program.compute(v, Some(acc), basis, msg, &self.meta)
-        };
-        self.values.store(update_col, v, new.to_bits());
-        self.messages += 1;
+    /// Fold one slab through the program's batch kernel, then hand the
+    /// slab back to the pool. The chaos computer panic fires here, at
+    /// the batch boundary, once the superstep's folds reach its count.
+    fn fold_slab(&mut self, update_col: u32, slab: MsgSlab<P::MsgVal>) {
+        let mut ctx = FoldCtx::new(&self.values, &self.meta, update_col, &mut self.dirty);
+        self.program.fold_batch(&slab, &mut ctx);
+        self.messages += slab.len() as u64;
+        self.pool.release(slab);
         #[cfg(feature = "chaos")]
         if let Some(plan) = &self.fault {
             plan.panic_if_due_on_node(self.node as u32, self.messages);
@@ -362,37 +377,9 @@ impl<P: VertexProgram> DistComputer<P> {
     }
 
     fn flush(&mut self, superstep: u64, update_col: u32) {
-        let dispatch_col = 1 - update_col;
-        let mut activated = 0u64;
-        let mut delta = 0.0f64;
-        for &v in &self.owned {
-            let u_bits = self.values.load(update_col, v);
-            if !is_flagged(u_bits) {
-                continue;
-            }
-            let d = P::Value::from_bits(clear_flag(self.values.load(dispatch_col, v)));
-            let u = P::Value::from_bits(clear_flag(u_bits));
-            let basis = self.program.freshest(d, u);
-            let new = self.program.no_message_value(v, basis, &self.meta);
-            if self.program.changed(basis, new) {
-                self.values.store(update_col, v, new.to_bits());
-                activated += 1;
-                delta += self.program.delta(basis, new);
-            } else {
-                self.values
-                    .store(update_col, v, gpsa::set_flag(new.to_bits()));
-            }
-        }
-        for &(v, basis) in &self.dirty {
-            let final_v = P::Value::from_bits(clear_flag(self.values.load(update_col, v)));
-            if self.program.changed(basis, final_v) {
-                activated += 1;
-                delta += self.program.delta(basis, final_v);
-            } else {
-                self.values.invalidate(update_col, v);
-            }
-        }
-        self.dirty.clear();
+        let (activated, delta) =
+            FoldCtx::new(&self.values, &self.meta, update_col, &mut self.dirty)
+                .flush(&*self.program, &self.owned);
         let messages = std::mem::take(&mut self.messages);
         let _ = self.coordinator.send(CoordinatorMsg::ComputeOver {
             superstep,
@@ -415,11 +402,7 @@ impl<P: VertexProgram> Actor for DistComputer<P> {
             return;
         }
         match msg {
-            ComputeCmd::Batch { update_col, msgs } => {
-                for &(v, m) in msgs.iter() {
-                    self.fold(update_col, v, m);
-                }
-            }
+            ComputeCmd::Batch { update_col, slab } => self.fold_slab(update_col, slab),
             ComputeCmd::Flush {
                 superstep,
                 update_col,

@@ -10,15 +10,28 @@
 //! the dead node's on-disk state when a specific node crashed — and
 //! retries with exponential backoff, up to
 //! [`ClusterConfig::max_node_retries`] times.
+//!
+//! Each node's CSR fragment is written once per graph: a [`Cluster`]
+//! keeps the fragments of its last run and reuses them while the edge
+//! list is equal (compared edge by edge, not by hash) and the fragment
+//! files are as it wrote them. The node count needs no check of its
+//! own: it is fixed by the configuration and the vertex count. A
+//! cluster of another size writing into the same directory changes the
+//! files, which the file check catches. Value shards and the manifest
+//! are created fresh on every run; the message-slab pool is kept too.
 
-use std::path::PathBuf;
+use std::any::Any;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant, SystemTime};
 
 use actor::System;
-use gpsa::{clear_flag, is_flagged, GraphMeta, Termination, ValueFile, VertexProgram, VertexValue};
-use gpsa_graph::{preprocess, DiskCsr, Edge, EdgeList};
+use gpsa::{
+    clear_flag, is_flagged, GraphMeta, MsgSlabPool, Termination, ValueFile, VertexProgram,
+    VertexValue,
+};
+use gpsa_graph::{preprocess, DiskCsr, Edge, EdgeList, VertexId};
 
 use crate::actors::{
     Coordinator, CoordinatorMsg, CoordinatorReport, DistComputer, DistDispatcher, DistRouter,
@@ -239,6 +252,44 @@ pub struct DistReport<V> {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
+    /// The CSR fragments of the last run, reused by the next run over
+    /// the same graph (see the module docs).
+    fragments: Arc<Mutex<Option<Fragments>>>,
+    /// The last run's slab pool (a `MsgSlabPool<P::MsgVal>`), reused by
+    /// the next run whose program has the same message type. A node's
+    /// single worker holds every slab it dispatches until its dispatch
+    /// ends, so a run fills the pool with megabytes of slabs; freeing
+    /// and reallocating them on every run grew RSS by megabytes per run.
+    pool: Arc<Mutex<Option<Arc<dyn Any + Send + Sync>>>>,
+}
+
+/// Per-node CSR fragments cut from one edge list.
+#[derive(Debug)]
+struct Fragments {
+    /// The edge list they were cut from.
+    edges: EdgeList,
+    graphs: Vec<Arc<DiskCsr>>,
+    /// `(length, mtime)` of each fragment file as written.
+    stamps: Vec<(u64, SystemTime)>,
+}
+
+fn fragment_path(work_dir: &Path, node: usize) -> PathBuf {
+    work_dir.join(format!("node{node}.gcsr"))
+}
+
+fn file_stamp(path: &Path) -> std::io::Result<(u64, SystemTime)> {
+    let meta = std::fs::metadata(path)?;
+    Ok((meta.len(), meta.modified()?))
+}
+
+impl Fragments {
+    fn fit(&self, edges: &EdgeList, work_dir: &Path) -> bool {
+        self.edges.n_vertices == edges.n_vertices
+            && self.edges.edges == edges.edges
+            && self.stamps.iter().enumerate().all(|(node, stamp)| {
+                file_stamp(&fragment_path(work_dir, node)).is_ok_and(|s| s == *stamp)
+            })
+    }
 }
 
 enum Outcome {
@@ -250,12 +301,75 @@ enum Outcome {
 impl Cluster {
     /// Create a cluster with the given configuration.
     pub fn new(config: ClusterConfig) -> Self {
-        Cluster { config }
+        Cluster {
+            config,
+            fragments: Arc::default(),
+            pool: Arc::default(),
+        }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
+    }
+
+    /// Each node's CSR fragment (the out-edges of its vertex range):
+    /// the last run's when they fit `edges`, else freshly written.
+    fn fragments(
+        &self,
+        edges: &EdgeList,
+        router: &DistRouter,
+    ) -> Result<Vec<Arc<DiskCsr>>, ClusterError> {
+        let work_dir = &self.config.work_dir;
+        // A panic mid-rebuild leaves `None` (set below before any file is
+        // written), so a poisoned cache is still a valid one.
+        let mut cache = self
+            .fragments
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(f) = cache.as_ref() {
+            if f.fit(edges, work_dir) {
+                return Ok(f.graphs.clone());
+            }
+        }
+        *cache = None;
+        let n = edges.n_vertices;
+        let mut graphs = Vec::with_capacity(router.n_nodes);
+        let mut stamps = Vec::with_capacity(router.n_nodes);
+        for node in 0..router.n_nodes {
+            let range = router.node_range(node, n);
+            let frag_edges: Vec<Edge> = edges
+                .edges
+                .iter()
+                .copied()
+                .filter(|e| range.contains(&e.src))
+                .collect();
+            let frag = EdgeList::with_vertices(frag_edges, n);
+            let csr_path = fragment_path(work_dir, node);
+            preprocess::edges_to_csr(frag, &csr_path, &preprocess::PreprocessOptions::default())?;
+            graphs.push(Arc::new(DiskCsr::open(&csr_path)?));
+            stamps.push(file_stamp(&csr_path)?);
+        }
+        *cache = Some(Fragments {
+            edges: edges.clone(),
+            graphs: graphs.clone(),
+            stamps,
+        });
+        Ok(graphs)
+    }
+
+    /// The slab pool for a run sending `M` messages: the last run's when
+    /// its message type matches, else a fresh one kept for the next run.
+    fn slab_pool<M: Send + Sync + 'static>(&self) -> Arc<MsgSlabPool<M>> {
+        // Every update replaces the whole `Option`, so a poisoned lock
+        // still guards a valid value.
+        let mut cached = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pool) = cached.clone().and_then(|p| p.downcast().ok()) {
+            return pool;
+        }
+        let pool = Arc::new(MsgSlabPool::new(self.config.msg_batch.max(1)));
+        *cached = Some(pool.clone());
+        pool
     }
 
     /// Run `program` over `edges` across the simulated cluster,
@@ -272,7 +386,7 @@ impl Cluster {
         let n_nodes = cfg.n_nodes.min(n.max(1));
         let router = Arc::new(DistRouter {
             n_nodes,
-            per_node: n.div_ceil(n_nodes).max(1),
+            per_node: n.div_ceil(n_nodes).clamp(1, VertexId::MAX as usize) as VertexId,
             computers_per_node: cfg.computers_per_node.max(1),
         });
         let meta = GraphMeta {
@@ -284,21 +398,12 @@ impl Cluster {
 
         // Attempt-invariant state: per-node shards (CSR fragment of this
         // node's out-edges + value shard over its vertex range) and the
-        // cluster manifest.
+        // cluster manifest; the slab pool below also outlives attempts.
+        let graphs = self.fragments(edges, &router)?;
         let mut shards: Vec<NodeShard> = Vec::with_capacity(n_nodes);
-        for node in 0..n_nodes {
+        for (node, graph) in graphs.into_iter().enumerate() {
             let range = router.node_range(node, n);
-            let frag_edges: Vec<Edge> = edges
-                .edges
-                .iter()
-                .copied()
-                .filter(|e| range.contains(&e.src))
-                .collect();
-            let frag = EdgeList::with_vertices(frag_edges, n);
-            let csr_path = cfg.work_dir.join(format!("node{node}.gcsr"));
-            preprocess::edges_to_csr(frag, &csr_path, &preprocess::PreprocessOptions::default())?;
-            let graph = Arc::new(DiskCsr::open(&csr_path)?);
-
+            let csr_path = fragment_path(&cfg.work_dir, node);
             let vf_path = cfg.work_dir.join(format!("node{node}.gval"));
             let p = program.clone();
             let m = meta;
@@ -319,6 +424,7 @@ impl Cluster {
         let manifest_path = cfg.work_dir.join("cluster.gman");
         let manifest = Arc::new(ClusterManifest::create(&manifest_path, n_nodes)?);
         let stats = Arc::new(Mutex::new(SharedStats::default()));
+        let pool = self.slab_pool::<P::MsgVal>();
         // Bumped whenever a fleet is given up on; zombie workers from
         // abandoned attempts check it and stand down (see
         // `DistDispatcher::epoch`).
@@ -422,6 +528,7 @@ impl Cluster {
                         coordinator: coordinator.clone(),
                         dirty: Vec::new(),
                         owned,
+                        pool: pool.clone(),
                         messages: 0,
                         epoch: epoch.clone(),
                         my_epoch,
@@ -451,10 +558,11 @@ impl Cluster {
                         computers: computers.clone(),
                         coordinator: coordinator.clone(),
                         traffic: traffic.clone(),
-                        buffers: vec![Vec::new(); computers.len()],
+                        buffers: computers.iter().map(|_| pool.acquire()).collect(),
+                        pool: pool.clone(),
+                        scratch: Vec::new(),
                         msg_batch: cfg.msg_batch.max(1),
                         always_dispatch: program.always_dispatch(),
-                        combine: program.combines(),
                         superstep: resume_superstep,
                         epoch: epoch.clone(),
                         my_epoch,

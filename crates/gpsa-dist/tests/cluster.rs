@@ -2,11 +2,13 @@
 //! answers as the single-node engine / sequential references, with sane
 //! traffic accounting.
 
-use gpsa::programs::{Bfs, ConnectedComponents, PageRank, UNREACHED};
-use gpsa::Termination;
+use gpsa::programs::{Bfs, ConnectedComponents, PageRank, Sssp, UNREACHED};
+use gpsa::{SyncEngine, Termination};
 use gpsa_dist::{Cluster, ClusterConfig};
-use gpsa_graph::{generate, EdgeList};
-use std::path::PathBuf;
+use gpsa_graph::{generate, Edge, EdgeList};
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn workdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("gpsa-dist-{}-{tag}", std::process::id()));
@@ -158,4 +160,153 @@ fn kcore_runs_distributed() {
         )
         .unwrap();
     assert_eq!(report.values, single.values);
+}
+
+/// `(inode, mtime in ns)` of each node's CSR fragment file.
+fn fragment_stamps(dir: &Path, nodes: usize) -> Vec<(u64, i128)> {
+    (0..nodes)
+        .map(|node| {
+            let m = std::fs::metadata(dir.join(format!("node{node}.gcsr"))).unwrap();
+            (
+                m.ino(),
+                i128::from(m.mtime()) * 1_000_000_000 + i128::from(m.mtime_nsec()),
+            )
+        })
+        .collect()
+}
+
+/// File mtimes tick at the kernel's coarse clock; wait past a tick so a
+/// rewrite always shows as a new mtime.
+fn let_mtime_tick() {
+    std::thread::sleep(Duration::from_millis(30));
+}
+
+fn cc_oracle(el: &EdgeList) -> Vec<u32> {
+    SyncEngine::new(Termination::Quiescence {
+        max_supersteps: 10_000,
+    })
+    .run(el, ConnectedComponents)
+    .values
+}
+
+#[test]
+fn a_repeat_run_reuses_the_node_fragments() {
+    let el = generate::symmetrize(&generate::rmat(
+        600,
+        3000,
+        generate::RmatParams::default(),
+        7,
+    ));
+    let dir = workdir("reuse");
+    let cluster = Cluster::new(ClusterConfig::new(3, &dir));
+    let first = cluster.run(&el, ConnectedComponents).unwrap();
+    let stamps = fragment_stamps(&dir, 3);
+    let_mtime_tick();
+    let second = cluster.run(&el, ConnectedComponents).unwrap();
+    assert_eq!(fragment_stamps(&dir, 3), stamps, "fragments rewritten");
+    assert_eq!(second.values, first.values);
+    assert_eq!(second.values, cc_oracle(&el));
+
+    // A program with another message type (so another slab pool) on the
+    // same fragments, then the first program again.
+    let sssp = cluster.run(&el, Sssp { root: 0 }).unwrap();
+    let expect = SyncEngine::new(Termination::Quiescence {
+        max_supersteps: 10_000,
+    })
+    .run(&el, Sssp { root: 0 })
+    .values;
+    assert_eq!(sssp.values, expect);
+    let third = cluster.run(&el, ConnectedComponents).unwrap();
+    assert_eq!(third.values, first.values);
+    assert_eq!(fragment_stamps(&dir, 3), stamps, "fragments rewritten");
+}
+
+#[test]
+fn changing_one_edge_reshards() {
+    // Two directed rings; pointing the first ring's closing edge into
+    // the second carries label 0 over, with the same vertex and edge
+    // counts.
+    let el = generate::two_components(40, 40);
+    let dir = workdir("reshard-edge");
+    let cluster = Cluster::new(ClusterConfig::new(2, &dir));
+    let before = cluster.run(&el, ConnectedComponents).unwrap();
+    assert_eq!(before.values, cc_oracle(&el));
+    let stamps = fragment_stamps(&dir, 2);
+    let_mtime_tick();
+
+    let mut changed = el.clone();
+    let i = changed.edges.iter().position(|e| e.src == 39).unwrap();
+    changed.edges[i] = Edge::new(39, 40);
+    assert_eq!(
+        (changed.n_vertices, changed.len()),
+        (el.n_vertices, el.len())
+    );
+    let after = cluster.run(&changed, ConnectedComponents).unwrap();
+    let expect = cc_oracle(&changed);
+    assert_ne!(expect, before.values, "the edge must matter");
+    assert_eq!(after.values, expect);
+    let restamped = fragment_stamps(&dir, 2);
+    assert!(
+        restamped.iter().zip(&stamps).all(|(a, b)| a != b),
+        "every fragment is rewritten on a miss"
+    );
+}
+
+#[test]
+fn changing_the_node_count_reshards() {
+    // A 3-node cluster re-cuts the fragments a 2-node cluster left in
+    // the same directory; the 2-node cluster then finds its files
+    // rewritten under it and cuts its own again instead of reusing them.
+    let el = generate::symmetrize(&generate::erdos_renyi(300, 1200, 4));
+    let expect = cc_oracle(&el);
+    let dir = workdir("reshard-nodes");
+    let two = Cluster::new(ClusterConfig::new(2, &dir));
+    assert_eq!(two.run(&el, ConnectedComponents).unwrap().values, expect);
+    let stamps_two = fragment_stamps(&dir, 2);
+    let_mtime_tick();
+
+    let three = Cluster::new(ClusterConfig::new(3, &dir))
+        .run(&el, ConnectedComponents)
+        .unwrap();
+    assert_eq!(three.values, expect);
+    assert_eq!(three.traffic.n_nodes(), 3);
+    let stamps_three = fragment_stamps(&dir, 2);
+    assert!(stamps_three.iter().zip(&stamps_two).all(|(a, b)| a != b));
+    let_mtime_tick();
+
+    let again = two.run(&el, ConnectedComponents).unwrap();
+    assert_eq!(again.values, expect);
+    assert_eq!(again.traffic.n_nodes(), 2);
+    assert!(fragment_stamps(&dir, 2)
+        .iter()
+        .zip(&stamps_three)
+        .all(|(a, b)| a != b));
+}
+
+#[cfg(feature = "chaos")]
+#[test]
+fn node_kill_on_reused_fragments_recovers_bit_identical() {
+    use gpsa::fault::{FaultPlan, FaultSpec};
+    use std::sync::Arc;
+
+    // A directed chain: BFS from its last vertex ends at once (before
+    // the kill's superstep), CC needs a superstep per hop, so only the
+    // second run — on reused fragments — meets the kill.
+    let n = 60usize;
+    let el = generate::chain(n);
+    let dir = workdir("reuse-kill");
+    let plan = FaultPlan::new(23).with(FaultSpec::NodeKill {
+        node: 1,
+        superstep: 10,
+    });
+    let cluster = Cluster::new(ClusterConfig::new(3, &dir).with_fault_plan(Arc::new(plan)));
+    let bfs = cluster.run(&el, Bfs { root: n as u32 - 1 }).unwrap();
+    assert_eq!(bfs.node_restarts, 0);
+    assert!(bfs.supersteps < 10);
+    let stamps = fragment_stamps(&dir, 3);
+    let_mtime_tick();
+    let cc = cluster.run(&el, ConnectedComponents).unwrap();
+    assert_eq!(cc.node_restarts, 1, "causes: {:?}", cc.retry_causes);
+    assert_eq!(cc.values, cc_oracle(&el));
+    assert_eq!(fragment_stamps(&dir, 3), stamps, "fragments rewritten");
 }

@@ -1,8 +1,11 @@
 //! Property tests: for arbitrary graphs and cluster shapes, the
 //! distributed engine agrees with the sequential oracle and conserves
-//! message counts across the traffic matrix.
+//! message counts across the traffic matrix. Each program runs its own
+//! `fold_batch` kernel in the cluster: the u32 min kernels (CC, BFS,
+//! SSSP) must match bit for bit, the f32 damped sum (PageRank) within
+//! 1e-6.
 
-use gpsa::programs::{Bfs, ConnectedComponents};
+use gpsa::programs::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gpsa::{SyncEngine, Termination};
 use gpsa_dist::{Cluster, ClusterConfig};
 use gpsa_graph::{Edge, EdgeList};
@@ -61,6 +64,37 @@ proptest! {
         );
         let got = cluster.run(&el, Bfs { root }).unwrap();
         prop_assert_eq!(got.values, expect);
+    }
+
+    #[test]
+    fn distributed_sssp_matches_oracle(el in arb_graph(), nodes in 1usize..6, root_sel in 0u32..50) {
+        let root = root_sel % el.n_vertices as u32;
+        let term = Termination::Quiescence { max_supersteps: 2000 };
+        let expect = SyncEngine::new(term).run(&el, Sssp { root }).values;
+        let cluster = Cluster::new(
+            ClusterConfig::new(nodes, workdir("sssp")).with_termination(term),
+        );
+        let got = cluster.run(&el, Sssp { root }).unwrap();
+        prop_assert_eq!(got.values, expect);
+    }
+
+    #[test]
+    fn distributed_pagerank_matches_oracle(el in arb_graph(), nodes in 1usize..6) {
+        let term = Termination::Supersteps(5);
+        let expect = SyncEngine::new(term).run(&el, PageRank::default()).values;
+        let cluster = Cluster::new(
+            ClusterConfig::new(nodes, workdir("pr")).with_termination(term),
+        );
+        let got = cluster.run(&el, PageRank::default()).unwrap();
+        prop_assert_eq!(got.supersteps, 5);
+        prop_assert_eq!(got.values.len(), expect.len());
+        let max_diff = got
+            .values
+            .iter()
+            .zip(&expect)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        prop_assert!(max_diff <= 1e-6, "distributed PR diverged: {}", max_diff);
     }
 
     #[test]

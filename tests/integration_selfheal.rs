@@ -108,14 +108,6 @@ impl<P: VertexProgram> VertexProgram for Sabotaged<P> {
         self.inner.no_message_value(v, basis, meta)
     }
 
-    fn combines(&self) -> bool {
-        self.inner.combines()
-    }
-
-    fn combine(&self, a: Self::MsgVal, b: Self::MsgVal) -> Self::MsgVal {
-        self.inner.combine(a, b)
-    }
-
     fn always_dispatch(&self) -> bool {
         self.inner.always_dispatch()
     }
