@@ -1,13 +1,12 @@
 //! The actor cell: mailbox + state + scheduling status.
 
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
-
-use crossbeam_queue::SegQueue;
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::actor::{Actor, Ctx};
+use crate::lock;
 use crate::scheduler::{Runnable, Scheduler};
 use crate::system::{FailureEvent, System};
 
@@ -39,7 +38,8 @@ struct Supervision<A> {
 }
 
 pub(crate) struct Cell<A: Actor> {
-    mailbox: SegQueue<A::Msg>,
+    /// FIFO: senders push to the back, activations pop from the front.
+    mailbox: Mutex<VecDeque<A::Msg>>,
     /// Actor state. `None` once dead. The status word guarantees only one
     /// worker activates the cell at a time, so this lock is uncontended; it
     /// exists to keep the unsafe surface zero.
@@ -53,7 +53,7 @@ pub(crate) struct Cell<A: Actor> {
 impl<A: Actor> Cell<A> {
     pub(crate) fn new(actor: A, system: System) -> Arc<Self> {
         Arc::new(Cell {
-            mailbox: SegQueue::new(),
+            mailbox: Mutex::new(VecDeque::new()),
             state: Mutex::new(Some(actor)),
             supervision: Mutex::new(None),
             status: AtomicU8::new(IDLE),
@@ -68,7 +68,7 @@ impl<A: Actor> Cell<A> {
     ) -> Arc<Self> {
         let actor = factory();
         Arc::new(Cell {
-            mailbox: SegQueue::new(),
+            mailbox: Mutex::new(VecDeque::new()),
             state: Mutex::new(Some(actor)),
             supervision: Mutex::new(Some(Supervision {
                 factory,
@@ -85,7 +85,7 @@ impl<A: Actor> Cell<A> {
     }
 
     pub(crate) fn queue_len(&self) -> usize {
-        self.mailbox.len()
+        lock(&self.mailbox).len()
     }
 
     /// Enqueue a message and make sure the cell is scheduled.
@@ -93,7 +93,7 @@ impl<A: Actor> Cell<A> {
         if !self.is_alive() {
             return Err(crate::SendError(msg));
         }
-        self.mailbox.push(msg);
+        lock(&self.mailbox).push_back(msg);
         self.system
             .metrics()
             .messages_sent
@@ -115,7 +115,7 @@ impl<A: Actor> Cell<A> {
 
     /// Run `started` on the spawning thread before any message arrives.
     pub(crate) fn run_started(self: &Arc<Self>) {
-        let mut guard = self.state.lock();
+        let mut guard = lock(&self.state);
         if let Some(actor) = guard.as_mut() {
             let mut ctx = Ctx {
                 addr: crate::addr::Addr::from_cell(self.clone()),
@@ -139,18 +139,21 @@ impl<A: Actor> Cell<A> {
             }
         }
         self.status.store(DEAD, Ordering::Release);
-        // Drop anything left in the mailbox.
-        while self.mailbox.pop().is_some() {}
+        // Drop anything left in the mailbox, outside its lock.
+        let left = std::mem::take(&mut *lock(&self.mailbox));
+        drop(left);
     }
 }
 
 impl<A: Actor> Runnable for Cell<A> {
     fn run(self: Arc<Self>, sched: &Arc<Scheduler>) {
-        let mut guard = self.state.lock();
+        let mut guard = lock(&self.state);
         let batch = sched.batch;
         let mut processed = 0usize;
         while processed < batch {
-            let Some(msg) = self.mailbox.pop() else { break };
+            let Some(msg) = lock(&self.mailbox).pop_front() else {
+                break;
+            };
             let Some(actor) = guard.as_mut() else {
                 // Dead while messages were still queued; drop them.
                 drop(guard.take());
@@ -184,7 +187,7 @@ impl<A: Actor> Runnable for Cell<A> {
                     // panic-death raises exactly one FailureEvent so a
                     // watching engine learns the fleet is short a member
                     // instead of waiting forever.
-                    let mut sup = self.supervision.lock();
+                    let mut sup = lock(&self.supervision);
                     match sup.as_mut() {
                         Some(s) if s.restarts_left > 0 => {
                             s.restarts_left -= 1;
@@ -246,7 +249,7 @@ impl<A: Actor> Runnable for Cell<A> {
             }
         }
         drop(guard);
-        if !self.mailbox.is_empty() {
+        if !lock(&self.mailbox).is_empty() {
             // Still work to do: stay SCHEDULED and requeue ourselves so
             // other actors get a turn (fair scheduling).
             let task: Arc<dyn Runnable> = self.clone();
@@ -256,9 +259,43 @@ impl<A: Actor> Runnable for Cell<A> {
             // A message may have raced in between the emptiness check and
             // the IDLE store; its sender saw SCHEDULED and did nothing, so
             // re-check and schedule ourselves if needed.
-            if !self.mailbox.is_empty() {
+            if !lock(&self.mailbox).is_empty() {
                 self.try_schedule();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use crate::{Actor, Ctx, System};
+
+    struct Log(mpsc::Sender<u32>);
+
+    impl Actor for Log {
+        type Msg = u32;
+        fn handle(&mut self, msg: u32, _ctx: &mut Ctx<'_, Self>) {
+            self.0.send(msg).unwrap();
+        }
+    }
+
+    #[test]
+    fn mailbox_drains_in_send_order_across_activations() {
+        // A batch of 3 ends most activations with mail still queued, so
+        // the order must survive the cell requeueing itself.
+        let sys = System::builder().workers(2).batch(3).build();
+        let (tx, rx) = mpsc::channel();
+        let addr = sys.spawn(Log(tx));
+        for i in 0..1000 {
+            addr.send(i).unwrap();
+        }
+        let got: Vec<u32> = (0..1000)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        assert_eq!(got, (0..1000).collect::<Vec<_>>());
+        sys.shutdown();
     }
 }

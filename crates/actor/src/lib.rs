@@ -63,3 +63,11 @@ pub use actor::{Actor, Ctx};
 pub use addr::{Addr, Recipient};
 pub use error::SendError;
 pub use system::{FailureEvent, System, SystemBuilder, SystemMetrics};
+
+/// Lock `m`, re-entering it if a panicking holder poisoned it. A panic in
+/// actor code must not wedge the runtime: the actor state it ran under is
+/// rebuilt (supervision) or dropped (death), and the queues are never left
+/// half-updated.
+fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

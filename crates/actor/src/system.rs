@@ -1,13 +1,12 @@
 //! The actor [`System`]: worker pool lifecycle, spawning, metrics.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::actor::Actor;
 use crate::addr::Addr;
 use crate::cell::Cell;
+use crate::lock;
 use crate::scheduler::Scheduler;
 
 /// Cumulative counters for a system's lifetime. All relaxed; read for
@@ -118,15 +117,15 @@ impl SystemBuilder {
     /// Start the worker threads and return the system handle.
     pub fn build(self) -> System {
         let metrics = Arc::new(SystemMetrics::default());
-        let (scheduler, deques) = Scheduler::new(self.workers, self.batch, metrics.clone());
+        let scheduler = Scheduler::new(self.workers, self.batch, metrics.clone());
         let mut handles = Vec::with_capacity(self.workers);
-        for (i, deque) in deques.into_iter().enumerate() {
+        for i in 0..self.workers {
             let sched = scheduler.clone();
             let name = format!("{}-worker-{}", self.name, i);
             handles.push(
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || sched.worker_loop(deque, i))
+                    .spawn(move || sched.worker_loop(i))
                     .expect("spawn actor worker thread"),
             );
         }
@@ -185,7 +184,7 @@ impl System {
             return;
         }
         self.inner.scheduler.begin_shutdown();
-        let handles = std::mem::take(&mut *self.inner.workers.lock());
+        let handles = std::mem::take(&mut *lock(&self.inner.workers));
         for h in handles {
             // A worker shutting the system down from inside a handler would
             // deadlock joining itself; skip self-joins.
@@ -209,7 +208,7 @@ impl System {
             return;
         }
         self.inner.scheduler.begin_shutdown();
-        drop(std::mem::take(&mut *self.inner.workers.lock()));
+        drop(std::mem::take(&mut *lock(&self.inner.workers)));
     }
 
     /// Install the handler invoked (from the dying actor's worker thread)
@@ -218,12 +217,12 @@ impl System {
     where
         F: Fn(FailureEvent) + Send + Sync + 'static,
     {
-        *self.inner.failure_handler.lock() = Some(Arc::new(f));
+        *lock(&self.inner.failure_handler) = Some(Arc::new(f));
     }
 
     pub(crate) fn notify_failure(&self, ev: FailureEvent) {
         self.inner.metrics.failures.fetch_add(1, Ordering::Relaxed);
-        let handler = self.inner.failure_handler.lock().clone();
+        let handler = lock(&self.inner.failure_handler).clone();
         if let Some(handler) = handler {
             handler(ev);
         }
@@ -248,7 +247,7 @@ impl Default for System {
 impl Drop for SystemInner {
     fn drop(&mut self) {
         self.scheduler.begin_shutdown();
-        for h in std::mem::take(&mut *self.workers.lock()) {
+        for h in std::mem::take(&mut *lock(&self.workers)) {
             if h.thread().id() != std::thread::current().id() {
                 let _ = h.join();
             }

@@ -524,22 +524,19 @@ fn unsupervised_panic_death_raises_failure_event() {
 
 #[test]
 fn stealable_local_push_wakes_idle_worker_promptly() {
-    // Lost-wakeup regression: `Busy` pushes `Probe` onto its *local* deque
-    // (cross-actor send from inside a handler) and then occupies its worker,
-    // so the probe can only run if the other — idle, possibly parked —
-    // worker steals it. The pre-sleep re-check used to consult only the
-    // injector, so a worker racing into sleep missed the local push and the
-    // probe waited out the full 10ms condvar backstop. With the stealer
-    // re-check, idle latency stays far below the backstop on average.
-    use std::time::Instant;
-
+    // `Busy` pushes `Probe` onto its *local* deque (cross-actor send from
+    // inside a handler) and then occupies its worker, so the probe can only
+    // run if the other — idle, possibly parked — worker steals it. The
+    // lost-wakeup race itself (the pre-park re-check must see peer deques)
+    // is too narrow to hit from here; the scheduler unit test
+    // `a_task_on_a_peer_deque_is_visible_work` pins it deterministically.
     struct Probe {
-        tx: mpsc::Sender<Instant>,
+        tx: mpsc::Sender<()>,
     }
     impl Actor for Probe {
         type Msg = ();
         fn handle(&mut self, _m: (), _ctx: &mut Ctx<'_, Self>) {
-            let _ = self.tx.send(Instant::now());
+            let _ = self.tx.send(());
         }
     }
     struct Busy {
@@ -549,8 +546,7 @@ fn stealable_local_push_wakes_idle_worker_promptly() {
         type Msg = ();
         fn handle(&mut self, _m: (), _ctx: &mut Ctx<'_, Self>) {
             self.probe.send(()).unwrap();
-            // Hold this worker past the assertion bound below, so a probe
-            // that misses the steal (lost wakeup) visibly pays for it.
+            // Hold this worker so the probe must be stolen.
             std::thread::sleep(Duration::from_millis(8));
         }
     }
@@ -559,24 +555,15 @@ fn stealable_local_push_wakes_idle_worker_promptly() {
     let (tx, rx) = mpsc::channel();
     let probe = sys.spawn(Probe { tx });
     let busy = sys.spawn(Busy { probe });
-    let rounds = 60u32;
-    let mut total = Duration::ZERO;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
+    for _ in 0..60 {
         busy.send(()).unwrap();
-        let handled = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        total += handled.saturating_duration_since(t0);
+        rx.recv_timeout(Duration::from_secs(10)).unwrap();
         // Let the busy worker finish its hold and both workers go idle, so
         // each round exercises the park/wake path afresh.
         std::thread::sleep(Duration::from_millis(10));
     }
     let steals = sys.metrics().steals.load(Ordering::Relaxed);
     assert!(steals > 0, "probe activations must come from stealing");
-    let mean = total / rounds;
-    assert!(
-        mean < Duration::from_millis(4),
-        "idle wake-up latency too close to the 8ms busy hold / 10ms sleep backstop: mean {mean:?}"
-    );
     sys.shutdown();
 }
 

@@ -388,19 +388,18 @@ impl PswEngine {
             }
         } else {
             let chunk = width.div_ceil(threads);
-            crossbeam_utils::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for t in 0..threads {
                     let lo = interval.start + (t * chunk) as u32;
                     let hi = (lo + chunk as u32).min(interval.end);
                     let f = &update_vertex;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for v in lo..hi {
                             f(v);
                         }
                     });
                 }
-            })
-            .expect("PSW update scope");
+            });
         }
 
         // Write the windows (and the memory shard's own window) back.

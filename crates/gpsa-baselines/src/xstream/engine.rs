@@ -4,14 +4,19 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use gpsa_graph::{EdgeList, VertexId};
 
 use super::buffer::UpdateBuffer;
 use super::program::{XsMeta, XsProgram};
+
+/// Lock a shuffle slot, re-entering it if a panicking holder poisoned it:
+/// every push and drain leaves the buffer whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Stop condition for an X-Stream run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,8 +223,7 @@ impl XsEngine {
                             program.scatter(s, prev[s as usize], out_deg[s as usize], d, &meta)
                         {
                             let j = self.partition_of(d, per);
-                            outbox[k * k_parts + j]
-                                .lock()
+                            lock(&outbox[k * k_parts + j])
                                 .push(d, u)
                                 .expect("update push");
                             updates_emitted.fetch_add(1, Ordering::Relaxed);
@@ -238,9 +242,9 @@ impl XsEngine {
                 let streamed_ref = &edges_streamed;
                 match &edge_store {
                     EdgeStore::Memory(parts) => {
-                        crossbeam_utils::thread::scope(|s| {
+                        std::thread::scope(|s| {
                             for (k, part) in parts.iter().enumerate() {
-                                s.spawn(move |_| {
+                                s.spawn(move || {
                                     for &(src, dst) in part {
                                         if let Some(u) = program_ref.scatter(
                                             src,
@@ -250,8 +254,7 @@ impl XsEngine {
                                             &meta,
                                         ) {
                                             let j = self.partition_of(dst, per);
-                                            outbox_ref[k * k_parts + j]
-                                                .lock()
+                                            lock(&outbox_ref[k * k_parts + j])
                                                 .push(dst, u)
                                                 .expect("update push");
                                             updates_ref.fetch_add(1, Ordering::Relaxed);
@@ -260,15 +263,14 @@ impl XsEngine {
                                     streamed_ref.fetch_add(part.len() as u64, Ordering::Relaxed);
                                 });
                             }
-                        })
-                        .expect("scatter scope");
+                        });
                     }
                     EdgeStore::Disk { counts, .. } => {
-                        crossbeam_utils::thread::scope(|s| {
+                        std::thread::scope(|s| {
                             for k in 0..k_parts {
                                 let count = counts[k];
                                 let path = self.config.work_dir.join(format!("edges-{k}.bin"));
-                                s.spawn(move |_| {
+                                s.spawn(move || {
                                     let file = File::open(path).expect("edge stream");
                                     let mut r = BufReader::new(file);
                                     let mut buf = [0u8; 8];
@@ -284,8 +286,7 @@ impl XsEngine {
                                             &meta,
                                         ) {
                                             let j = self.partition_of(dst, per);
-                                            outbox_ref[k * k_parts + j]
-                                                .lock()
+                                            lock(&outbox_ref[k * k_parts + j])
                                                 .push(dst, u)
                                                 .expect("update push");
                                             updates_ref.fetch_add(1, Ordering::Relaxed);
@@ -294,8 +295,7 @@ impl XsEngine {
                                     streamed_ref.fetch_add(count, Ordering::Relaxed);
                                 });
                             }
-                        })
-                        .expect("scatter scope");
+                        });
                     }
                 }
             }
@@ -322,11 +322,11 @@ impl XsEngine {
                 let program_ref = &program;
                 let prev_ref = &prev;
                 let changed_ref = &changed;
-                crossbeam_utils::thread::scope(|s| {
+                std::thread::scope(|s| {
                     for (j, (base, slice)) in slices.into_iter().enumerate() {
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             for k in 0..k_parts {
-                                let mut buf = outbox_ref[k * k_parts + j].lock();
+                                let mut buf = lock(&outbox_ref[k * k_parts + j]);
                                 buf.drain(|dst, upd| {
                                     let i = dst as usize - base;
                                     slice[i] = program_ref.gather(dst, slice[i], upd, &meta);
@@ -342,8 +342,7 @@ impl XsEngine {
                             changed_ref.fetch_add(local_changed, Ordering::Relaxed);
                         });
                     }
-                })
-                .expect("gather scope");
+                });
             }
             std::mem::swap(&mut prev, &mut next);
 

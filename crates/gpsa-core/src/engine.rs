@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,7 @@ use actor::System;
 use crate::computer::Computer;
 use crate::config::{EngineConfig, IntervalStrategy, RouterStrategy, Termination};
 use crate::dispatcher::Dispatcher;
-use crate::manager::{Manager, ManagerMsg, ManagerReport};
+use crate::manager::{AttemptEvent, Manager, ManagerMsg, ManagerReport};
 use crate::partition::{
     edge_balanced_intervals, strided_assignments, uniform_intervals, DispatchAssignment, ModRouter,
     RangeRouter, Router,
@@ -429,9 +430,11 @@ impl Engine {
                 .batch(ACTOR_BATCH)
                 .name("gpsa")
                 .build();
-            // Escalations arrive from the dying actor's worker thread;
-            // the channel is drained by the select below.
-            let (failure_tx, failure_rx) = crossbeam_channel::bounded::<String>(64);
+            // The manager's report and any actor's death arrive on one
+            // channel; deaths are sent from the dying actor's worker
+            // thread. Unbounded, so no fleet thread ever blocks on it.
+            let (report_tx, events) = mpsc::channel();
+            let failure_tx = report_tx.clone();
             system.set_failure_handler(move |ev| {
                 let restarts = if ev.supervised {
                     format!(" after {} restart(s)", ev.restarts_used)
@@ -443,9 +446,11 @@ impl Engine {
                     .as_deref()
                     .map(|d| format!(": {d}"))
                     .unwrap_or_default();
-                let _ = failure_tx.try_send(format!("{} died{restarts}{detail}", ev.actor));
+                let _ = failure_tx.send(AttemptEvent::Failed(format!(
+                    "{} died{restarts}{detail}",
+                    ev.actor
+                )));
             });
-            let (report_tx, report_rx) = crossbeam_channel::bounded(1);
             let progress = Arc::new(AtomicU64::new(0));
             #[allow(unused_mut)]
             let mut mgr = Manager::<P>::new(
@@ -543,44 +548,29 @@ impl Engine {
             } else {
                 let mut last_progress = progress.load(Ordering::Relaxed);
                 let mut last_commit = Instant::now();
-                'wait: loop {
-                    crossbeam_channel::select! {
-                        recv(report_rx) -> r => match r {
-                            Ok(rep) => break 'wait Attempt::Done(rep),
-                            Err(_) => {
-                                // A dying manager drops its report channel a
-                                // hair before its FailureEvent lands; give
-                                // the escalation a beat and prefer its
-                                // richer cause over the bare disconnect.
-                                let cause = failure_rx
-                                    .recv_timeout(Duration::from_millis(200))
-                                    .unwrap_or_else(|_| {
-                                        "manager terminated without reporting".into()
-                                    });
-                                break 'wait Attempt::Failed(cause);
-                            }
-                        },
-                        recv(failure_rx) -> f => break 'wait Attempt::Failed(
-                            f.unwrap_or_else(|_| "actor failure".into()),
-                        ),
-                        default(Duration::from_millis(20)) => {
-                            if t0.elapsed() > RUN_TIMEOUT {
-                                break 'wait Attempt::Wedged(
-                                    "run exceeded the global timeout".into(),
-                                );
-                            }
-                            if let Some(deadline) = self.config.superstep_deadline {
-                                let p = progress.load(Ordering::Relaxed);
-                                if p != last_progress {
-                                    last_progress = p;
-                                    last_commit = Instant::now();
-                                } else if last_commit.elapsed() >= deadline {
-                                    break 'wait Attempt::Wedged(format!(
-                                        "watchdog: no superstep committed within {deadline:?}",
-                                    ));
-                                }
-                            }
-                        },
+                // The manager's only stop is `finish`, which reports first,
+                // and a manager that dies reaches the failure handler: either
+                // way the cause arrives here. The handler's sender lives as
+                // long as `system`, so the channel cannot disconnect.
+                loop {
+                    match events.recv_timeout(Duration::from_millis(20)) {
+                        Ok(AttemptEvent::Report(rep)) => break Attempt::Done(rep),
+                        Ok(AttemptEvent::Failed(cause)) => break Attempt::Failed(cause),
+                        Err(_) => {} // timed out
+                    }
+                    if t0.elapsed() > RUN_TIMEOUT {
+                        break Attempt::Wedged("run exceeded the global timeout".into());
+                    }
+                    if let Some(deadline) = self.config.superstep_deadline {
+                        let p = progress.load(Ordering::Relaxed);
+                        if p != last_progress {
+                            last_progress = p;
+                            last_commit = Instant::now();
+                        } else if last_commit.elapsed() >= deadline {
+                            break Attempt::Wedged(format!(
+                                "watchdog: no superstep committed within {deadline:?}",
+                            ));
+                        }
                     }
                 }
             };

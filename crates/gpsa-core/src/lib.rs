@@ -81,3 +81,10 @@ pub use sync_engine::SyncEngine;
 pub use value::VertexValue;
 pub use value_file::{crc32, ValueFile, ValueFileError, ValueFileHeader};
 pub use word::{clear_flag, is_flagged, set_flag, FLAG_BIT};
+
+/// Lock `m`, re-entering it if a panicking holder poisoned it: a panic in
+/// an engine actor is recovered from by the engine (rollback and retry),
+/// and the values these locks guard stay whole across one.
+fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

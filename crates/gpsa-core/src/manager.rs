@@ -3,11 +3,11 @@
 //! points.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use actor::{Actor, Addr, Ctx};
-use crossbeam_channel::Sender;
 
 use crate::computer::{ComputeCmd, Computer};
 use crate::config::Termination;
@@ -49,6 +49,14 @@ pub(crate) struct ManagerReport {
     pub final_dispatch_col: u32,
 }
 
+/// What the engine's wait loop receives during one attempt, all on one
+/// channel: the manager's final report, or the cause of an actor's death
+/// from the actor system's failure handler.
+pub(crate) enum AttemptEvent {
+    Report(ManagerReport),
+    Failed(String),
+}
+
 /// Mailbox protocol of the manager.
 pub(crate) enum ManagerMsg<P: VertexProgram> {
     /// Wiring + kick-off, sent by the engine once all actors exist.
@@ -86,7 +94,7 @@ pub(crate) struct Manager<P: VertexProgram> {
     pub values: Arc<ValueFile>,
     pub termination: Termination,
     pub durable: bool,
-    pub report_tx: Sender<ManagerReport>,
+    pub report_tx: Sender<AttemptEvent>,
     /// Shared with the computers; the manager owns the superstep epoch.
     pub overlap: Arc<OverlapStats>,
     /// Bumped once per committed superstep; the engine's watchdog reads
@@ -130,7 +138,7 @@ impl<P: VertexProgram> Manager<P> {
         values: Arc<ValueFile>,
         termination: Termination,
         durable: bool,
-        report_tx: Sender<ManagerReport>,
+        report_tx: Sender<AttemptEvent>,
         overlap: Arc<OverlapStats>,
         resume_superstep: u64,
         dispatch_col: u32,
@@ -224,7 +232,7 @@ impl<P: VertexProgram> Manager<P> {
 
     fn finish(&mut self, crashed: bool, ctx: &mut Ctx<'_, Self>) {
         self.shutdown_workers();
-        let _ = self.report_tx.send(ManagerReport {
+        let _ = self.report_tx.send(AttemptEvent::Report(ManagerReport {
             crashed,
             supersteps_run: self.steps_run,
             step_times: std::mem::take(&mut self.step_times),
@@ -239,7 +247,7 @@ impl<P: VertexProgram> Manager<P> {
             frontier_density: std::mem::take(&mut self.frontier_density),
             phases: std::mem::take(&mut self.phases),
             final_dispatch_col: self.dispatch_col,
-        });
+        }));
         ctx.stop();
     }
 

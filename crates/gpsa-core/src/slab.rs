@@ -14,11 +14,11 @@
 //!
 //! Every batch used to be a freshly allocated buffer, dropped by the
 //! computer after folding. The [`MsgSlabPool`] closes that loop:
-//! dispatchers pop an empty slab from a shared lock-free free-list
-//! whenever they hand a full one off, and computers push slabs back
-//! after folding them. The pool population converges to the maximum
-//! number of batches ever in flight, after which flushing allocates
-//! nothing — observable as a byte-weighted hit rate near 1 in
+//! dispatchers pop an empty slab from a shared free-list whenever they
+//! hand a full one off, and computers push slabs back after folding
+//! them. The pool population converges to the maximum number of batches
+//! ever in flight, after which flushing allocates nothing — observable
+//! as a byte-weighted hit rate near 1 in
 //! [`crate::RunReport::pool_hit_rate`]. Stats count *bytes* of slab
 //! capacity, not slab counts: SoA columns make slab payload sizes
 //! diverge (a run-heavy slab carries more `msg` bytes per destination),
@@ -30,12 +30,14 @@
 //! it (time-to-first-batch). With chunked dispatch this should sit near
 //! one chunk's worth of work, not a full interval scan.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam_queue::SegQueue;
 use gpsa_graph::VertexId;
-use parking_lot::Mutex;
+
+use crate::lock;
 
 /// One dispatcher→computer batch in struct-of-arrays run form.
 ///
@@ -224,13 +226,14 @@ impl<'a, M: Copy> Iterator for Runs<'a, M> {
     }
 }
 
-/// A shared lock-free free-list of message slabs.
+/// A shared free-list of message slabs.
 ///
-/// Cheap to share behind an `Arc`; all operations are wait-free pushes
-/// and pops on a [`SegQueue`] plus relaxed counter bumps. Hit/miss
-/// counters are byte-weighted (see the module docs).
+/// Cheap to share behind an `Arc`; every operation is one push or pop on
+/// a mutex-guarded `VecDeque` (held for that push or pop only) plus
+/// relaxed counter bumps. Hit/miss counters are byte-weighted (see the
+/// module docs).
 pub struct MsgSlabPool<M> {
-    slabs: SegQueue<MsgSlab<M>>,
+    slabs: Mutex<VecDeque<MsgSlab<M>>>,
     slab_capacity: usize,
     hit_bytes: AtomicU64,
     miss_bytes: AtomicU64,
@@ -242,7 +245,7 @@ impl<M> MsgSlabPool<M> {
     /// so a slab fills roughly once before flushing).
     pub fn new(slab_capacity: usize) -> Self {
         MsgSlabPool {
-            slabs: SegQueue::new(),
+            slabs: Mutex::new(VecDeque::new()),
             slab_capacity,
             hit_bytes: AtomicU64::new(0),
             miss_bytes: AtomicU64::new(0),
@@ -251,7 +254,10 @@ impl<M> MsgSlabPool<M> {
 
     /// Pop a recycled slab, or allocate a fresh one on a miss.
     pub fn acquire(&self) -> MsgSlab<M> {
-        match self.slabs.pop() {
+        // Popped before the match so the lock is not held across a miss's
+        // allocation.
+        let recycled = lock(&self.slabs).pop_front();
+        match recycled {
             Some(slab) => {
                 self.hit_bytes
                     .fetch_add(slab.capacity_bytes(), Ordering::Relaxed);
@@ -271,7 +277,7 @@ impl<M> MsgSlabPool<M> {
     /// [`acquire`](MsgSlabPool::acquire).
     pub fn release(&self, mut slab: MsgSlab<M>) {
         slab.clear();
-        self.slabs.push(slab);
+        lock(&self.slabs).push_back(slab);
     }
 
     /// Capacity bytes handed out from the free-list so far.
@@ -323,7 +329,7 @@ impl OverlapStats {
     /// Reset the superstep epoch. Called by the manager, strictly before
     /// any dispatcher of the superstep is started.
     pub(crate) fn begin_superstep(&self) {
-        *self.epoch.lock() = Instant::now();
+        *lock(&self.epoch) = Instant::now();
         self.first_batch_us.store(UNSET, Ordering::Release);
     }
 
@@ -334,7 +340,7 @@ impl OverlapStats {
         if self.first_batch_us.load(Ordering::Relaxed) != UNSET {
             return;
         }
-        let us = self.epoch.lock().elapsed().as_micros() as u64;
+        let us = lock(&self.epoch).elapsed().as_micros() as u64;
         let _ = self.first_batch_us.compare_exchange(
             UNSET,
             us.min(UNSET - 1),

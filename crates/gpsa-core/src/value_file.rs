@@ -226,7 +226,7 @@ pub struct ValueFile {
     frontier: Frontier,
     /// Chaos hook: scripted msync failures / torn headers.
     #[cfg(feature = "chaos")]
-    fault: parking_lot::Mutex<Option<std::sync::Arc<crate::fault::FaultPlan>>>,
+    fault: std::sync::Mutex<Option<std::sync::Arc<crate::fault::FaultPlan>>>,
 }
 
 impl ValueFile {
@@ -269,7 +269,7 @@ impl ValueFile {
             base: range.start,
             frontier: Frontier::new(range.clone()),
             #[cfg(feature = "chaos")]
-            fault: parking_lot::Mutex::new(None),
+            fault: std::sync::Mutex::new(None),
         };
         {
             let words = vf.words();
@@ -321,7 +321,7 @@ impl ValueFile {
             base: 0,
             frontier: Frontier::new(0..0),
             #[cfg(feature = "chaos")]
-            fault: parking_lot::Mutex::new(None),
+            fault: std::sync::Mutex::new(None),
         };
         let (magic, version, n, base) = {
             let words = vf.words();
@@ -352,7 +352,7 @@ impl ValueFile {
             base,
             frontier: Frontier::new(base..base + n as u32),
             #[cfg(feature = "chaos")]
-            fault: parking_lot::Mutex::new(None),
+            fault: std::sync::Mutex::new(None),
         };
         if vf.best_slot().is_none() {
             return Err(ValueFileError::NoValidCommitSlot);
@@ -476,7 +476,7 @@ impl ValueFile {
     ) -> std::io::Result<()> {
         if durable {
             #[cfg(feature = "chaos")]
-            if let Some(plan) = self.fault.lock().as_ref() {
+            if let Some(plan) = crate::lock(&self.fault).as_ref() {
                 if plan.take_msync_failure(superstep) {
                     return Err(std::io::Error::other(format!(
                         "chaos-injected msync failure at superstep {superstep}"
@@ -499,7 +499,7 @@ impl ValueFile {
             next_dispatch: next_dispatch_col & 1,
         };
         #[cfg(feature = "chaos")]
-        if let Some(plan) = self.fault.lock().as_ref() {
+        if let Some(plan) = crate::lock(&self.fault).as_ref() {
             if plan.take_torn_commit(superstep) {
                 self.write_slot(target, slot, true);
                 return Err(std::io::Error::other(format!(
@@ -520,7 +520,7 @@ impl ValueFile {
     /// [`ValueFile::commit`].
     #[cfg(feature = "chaos")]
     pub fn set_fault_plan(&self, plan: Option<std::sync::Arc<crate::fault::FaultPlan>>) {
-        *self.fault.lock() = plan;
+        *crate::lock(&self.fault) = plan;
     }
 
     /// Test/chaos hook: overwrite the *non-best* slot with a

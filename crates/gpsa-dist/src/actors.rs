@@ -14,11 +14,11 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use actor::{Actor, Addr, Ctx};
-use crossbeam_channel::Sender;
 use gpsa::{
     clear_flag, is_flagged, split_run, FoldCtx, GraphMeta, MsgSlab, MsgSlabPool, Termination,
     ValueFile, VertexProgram, VertexValue,
@@ -26,7 +26,7 @@ use gpsa::{
 use gpsa_graph::{DiskCsr, VertexId};
 
 use crate::manifest::{BarrierRecord, ClusterManifest};
-use crate::recovery::SharedStats;
+use crate::recovery::{AttemptEvent, SharedStats};
 use crate::traffic::TrafficMatrix;
 
 /// Global routing: vertex → (node, compute actor).
@@ -76,72 +76,6 @@ pub(crate) enum DispatchCmd {
     Shutdown,
 }
 
-#[cfg(test)]
-mod router_tests {
-    use super::*;
-
-    #[test]
-    fn routing_is_total_and_consistent() {
-        let r = DistRouter {
-            n_nodes: 3,
-            per_node: 10,
-            computers_per_node: 2,
-        };
-        for v in 0..30u32 {
-            let node = r.node_of_vertex(v);
-            assert!(node < 3);
-            let c = r.computer_of_vertex(v);
-            assert_eq!(
-                r.node_of_computer(c),
-                node,
-                "computer lives on the vertex's node"
-            );
-            assert!(r.node_range(node, 30).contains(&v));
-        }
-        // Overflow ids clamp to the last node.
-        assert_eq!(r.node_of_vertex(1000), 2);
-    }
-
-    #[test]
-    fn node_ranges_tile_the_vertex_space() {
-        for (n, nodes, per) in [(30usize, 3usize, 10u32), (31, 3, 11), (5, 4, 2), (7, 7, 1)] {
-            let r = DistRouter {
-                n_nodes: nodes,
-                per_node: per,
-                computers_per_node: 1,
-            };
-            let mut covered = 0usize;
-            let mut expect_start = 0u32;
-            for node in 0..nodes {
-                let range = r.node_range(node, n);
-                assert_eq!(range.start, expect_start.min(n as u32));
-                expect_start = range.end;
-                covered += (range.end - range.start) as usize;
-            }
-            assert_eq!(covered, n, "n={n} nodes={nodes} per={per}");
-        }
-    }
-
-    #[test]
-    fn computers_within_a_node_partition_its_vertices() {
-        let r = DistRouter {
-            n_nodes: 2,
-            per_node: 8,
-            computers_per_node: 3,
-        };
-        // Same vertex always routes to the same computer; computers of a
-        // node cover exactly the node's vertices.
-        let mut seen = std::collections::HashMap::new();
-        for v in 0..16u32 {
-            let c = r.computer_of_vertex(v);
-            assert_eq!(r.computer_of_vertex(v), c);
-            *seen.entry(c).or_insert(0) += 1;
-        }
-        assert!(seen.keys().all(|&c| c < 6));
-        assert_eq!(seen.values().sum::<i32>(), 16);
-    }
-}
-
 pub(crate) enum ComputeCmd<M> {
     /// A slab of message runs on loan from the run's pool; the computer
     /// releases it back after folding.
@@ -170,15 +104,6 @@ pub(crate) enum CoordinatorMsg<P: VertexProgram> {
         delta: f64,
         messages: u64,
     },
-}
-
-/// End-of-run signal forwarded to the blocking caller. Per-superstep
-/// statistics travel through [`SharedStats`] instead (appended only
-/// after each barrier's manifest append, so rolled-back supersteps never
-/// double-count).
-#[derive(Debug, Clone)]
-pub(crate) struct CoordinatorReport {
-    pub final_dispatch_col: u32,
 }
 
 pub(crate) struct DistDispatcher<P: VertexProgram> {
@@ -422,7 +347,7 @@ impl<P: VertexProgram> Actor for DistComputer<P> {
 pub(crate) struct Coordinator<P: VertexProgram> {
     pub value_files: Vec<Arc<ValueFile>>,
     pub termination: Termination,
-    pub report_tx: Sender<CoordinatorReport>,
+    pub report_tx: Sender<AttemptEvent>,
     pub dispatchers: Vec<Addr<DistDispatcher<P>>>,
     pub computers: Vec<Addr<DistComputer<P>>>,
     pub superstep: u64,
@@ -526,7 +451,7 @@ impl<P: VertexProgram> Coordinator<P> {
         for c in &self.computers {
             let _ = c.send(ComputeCmd::Shutdown);
         }
-        let _ = self.report_tx.send(CoordinatorReport {
+        let _ = self.report_tx.send(AttemptEvent::Done {
             final_dispatch_col: self.dispatch_col,
         });
         ctx.stop();
@@ -605,5 +530,71 @@ impl<P: VertexProgram> Actor for Coordinator<P> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod router_tests {
+    use super::*;
+
+    #[test]
+    fn routing_is_total_and_consistent() {
+        let r = DistRouter {
+            n_nodes: 3,
+            per_node: 10,
+            computers_per_node: 2,
+        };
+        for v in 0..30u32 {
+            let node = r.node_of_vertex(v);
+            assert!(node < 3);
+            let c = r.computer_of_vertex(v);
+            assert_eq!(
+                r.node_of_computer(c),
+                node,
+                "computer lives on the vertex's node"
+            );
+            assert!(r.node_range(node, 30).contains(&v));
+        }
+        // Overflow ids clamp to the last node.
+        assert_eq!(r.node_of_vertex(1000), 2);
+    }
+
+    #[test]
+    fn node_ranges_tile_the_vertex_space() {
+        for (n, nodes, per) in [(30usize, 3usize, 10u32), (31, 3, 11), (5, 4, 2), (7, 7, 1)] {
+            let r = DistRouter {
+                n_nodes: nodes,
+                per_node: per,
+                computers_per_node: 1,
+            };
+            let mut covered = 0usize;
+            let mut expect_start = 0u32;
+            for node in 0..nodes {
+                let range = r.node_range(node, n);
+                assert_eq!(range.start, expect_start.min(n as u32));
+                expect_start = range.end;
+                covered += (range.end - range.start) as usize;
+            }
+            assert_eq!(covered, n, "n={n} nodes={nodes} per={per}");
+        }
+    }
+
+    #[test]
+    fn computers_within_a_node_partition_its_vertices() {
+        let r = DistRouter {
+            n_nodes: 2,
+            per_node: 8,
+            computers_per_node: 3,
+        };
+        // Same vertex always routes to the same computer; computers of a
+        // node cover exactly the node's vertices.
+        let mut seen = std::collections::HashMap::new();
+        for v in 0..16u32 {
+            let c = r.computer_of_vertex(v);
+            assert_eq!(r.computer_of_vertex(v), c);
+            *seen.entry(c).or_insert(0) += 1;
+        }
+        assert!(seen.keys().all(|&c| c < 6));
+        assert_eq!(seen.values().sum::<i32>(), 16);
     }
 }

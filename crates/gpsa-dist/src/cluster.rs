@@ -3,12 +3,12 @@
 //!
 //! A run is a sequence of *attempts*. Each attempt builds the whole
 //! fleet (one actor system per node + the master), registered with a
-//! [`SystemGuard`] so every exit path tears it down, and waits on a
-//! select loop for the coordinator's report, a failure escalation, or a
-//! watchdog stall. A failed attempt rolls the cluster back to the last
-//! manifest barrier ([`crate::recovery::rollback_cluster`]) — reopening
-//! the dead node's on-disk state when a specific node crashed — and
-//! retries with exponential backoff, up to
+//! [`SystemGuard`] so every exit path tears it down, and waits on one
+//! channel for the coordinator's report or a failure escalation, with a
+//! watchdog for stalls. A failed attempt rolls the cluster back to the
+//! last manifest barrier ([`crate::recovery::rollback_cluster`]) —
+//! reopening the dead node's on-disk state when a specific node crashed
+//! — and retries with exponential backoff, up to
 //! [`ClusterConfig::max_node_retries`] times.
 //!
 //! Each node's CSR fragment is written once per graph: a [`Cluster`]
@@ -23,7 +23,7 @@
 use std::any::Any;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use actor::System;
@@ -33,11 +33,9 @@ use gpsa::{
 };
 use gpsa_graph::{preprocess, DiskCsr, Edge, EdgeList, VertexId};
 
-use crate::actors::{
-    Coordinator, CoordinatorMsg, CoordinatorReport, DistComputer, DistDispatcher, DistRouter,
-};
+use crate::actors::{Coordinator, CoordinatorMsg, DistComputer, DistDispatcher, DistRouter};
 use crate::manifest::ClusterManifest;
-use crate::recovery::{rollback_cluster, Failure, NodeShard, SharedStats, SystemGuard};
+use crate::recovery::{rollback_cluster, AttemptEvent, NodeShard, SharedStats, SystemGuard};
 use crate::traffic::TrafficMatrix;
 
 /// Typed failures from [`Cluster::run`].
@@ -439,23 +437,25 @@ impl Cluster {
         let final_col = 'attempts: loop {
             let my_epoch = epoch.load(Ordering::Relaxed);
             let mut guard = SystemGuard::new();
-            // Failure escalations arrive from dying worker threads,
-            // tagged with the node they came from.
-            let (failure_tx, failure_rx) = crossbeam_channel::bounded::<Failure>(64);
+            // The coordinator's report and every failure escalation (sent
+            // from the dying worker thread, tagged with the node it came
+            // from) arrive on one channel. Unbounded, so no fleet thread
+            // ever blocks on it.
+            let (report_tx, events) = mpsc::channel();
             let mut node_systems: Vec<System> = Vec::with_capacity(n_nodes);
             for node in 0..n_nodes {
                 let sys = System::builder()
                     .workers(cfg.workers_per_node)
                     .name(format!("node{node}"))
                     .build();
-                let tx = failure_tx.clone();
+                let tx = report_tx.clone();
                 sys.set_failure_handler(move |ev| {
                     let detail = ev
                         .detail
                         .as_deref()
                         .map(|d| format!(": {d}"))
                         .unwrap_or_default();
-                    let _ = tx.try_send(Failure::Node {
+                    let _ = tx.send(AttemptEvent::Node {
                         node,
                         cause: format!("node {node}: {} died{detail}", ev.actor),
                     });
@@ -465,21 +465,20 @@ impl Cluster {
             }
             // The coordinator lives on a dedicated "master" system.
             let master = System::builder().workers(1).name("gpsa-master").build();
-            let tx = failure_tx.clone();
+            let tx = report_tx.clone();
             master.set_failure_handler(move |ev| {
                 let detail = ev
                     .detail
                     .as_deref()
                     .map(|d| format!(": {d}"))
                     .unwrap_or_default();
-                let _ = tx.try_send(Failure::Master {
+                let _ = tx.send(AttemptEvent::Master {
                     cause: format!("master: {} died{detail}", ev.actor),
                 });
             });
             guard.push(master.clone());
 
             let progress = Arc::new(AtomicU64::new(resume_superstep));
-            let (report_tx, report_rx) = crossbeam_channel::bounded::<CoordinatorReport>(1);
             let coordinator = master.spawn(Coordinator::<P> {
                 value_files: shards.iter().map(|s| s.values.clone()).collect(),
                 termination: cfg.termination,
@@ -587,7 +586,13 @@ impl Cluster {
             } else {
                 let mut last_progress = progress.load(Ordering::Relaxed);
                 let mut last_advance = Instant::now();
-                'wait: loop {
+                // In a live attempt the coordinator's only stop is
+                // `finish`, which reports first (its zombie stop needs a
+                // bumped epoch), and any actor that dies reaches a failure
+                // handler: either way the outcome arrives here. The
+                // handlers' senders live as long as the fleet, so the
+                // channel cannot disconnect.
+                loop {
                     // Checked at loop entry, not just on the idle tick:
                     // a fast release-mode run can finish inside one tick
                     // window, and an expired deadline must still win
@@ -607,53 +612,31 @@ impl Cluster {
                             ),
                         });
                     }
-                    crossbeam_channel::select! {
-                        recv(report_rx) -> r => match r {
-                            Ok(CoordinatorReport { final_dispatch_col }) => {
-                                break 'wait Outcome::Done(final_dispatch_col)
+                    match events.recv_timeout(Duration::from_millis(20)) {
+                        Ok(AttemptEvent::Done { final_dispatch_col }) => {
+                            break Outcome::Done(final_dispatch_col)
+                        }
+                        Ok(AttemptEvent::Node { node, cause }) => {
+                            break Outcome::Failed {
+                                dead: Some(node),
+                                cause,
                             }
-                            Err(_) => {
-                                // A dying coordinator drops its report
-                                // channel a hair before its FailureEvent
-                                // lands; give the escalation a beat and
-                                // prefer its richer cause.
-                                break 'wait match failure_rx
-                                    .recv_timeout(Duration::from_millis(200))
-                                {
-                                    Ok(f) => {
-                                        let (dead, cause) = f.split();
-                                        Outcome::Failed { dead, cause }
-                                    }
-                                    Err(_) => Outcome::Failed {
-                                        dead: None,
-                                        cause: "coordinator terminated without reporting".into(),
-                                    },
-                                };
-                            }
-                        },
-                        recv(failure_rx) -> f => break 'wait match f {
-                            Ok(f) => {
-                                let (dead, cause) = Failure::split(f);
-                                Outcome::Failed { dead, cause }
-                            }
-                            Err(_) => Outcome::Failed {
-                                dead: None,
-                                cause: "failure channel closed".into(),
-                            },
-                        },
-                        default(Duration::from_millis(20)) => {
-                            if let Some(deadline) = cfg.superstep_deadline {
-                                let p = progress.load(Ordering::Relaxed);
-                                if p != last_progress {
-                                    last_progress = p;
-                                    last_advance = Instant::now();
-                                } else if last_advance.elapsed() >= deadline {
-                                    break 'wait Outcome::Wedged(format!(
-                                        "watchdog: no superstep progress within {deadline:?}",
-                                    ));
-                                }
-                            }
-                        },
+                        }
+                        Ok(AttemptEvent::Master { cause }) => {
+                            break Outcome::Failed { dead: None, cause }
+                        }
+                        Err(_) => {} // timed out
+                    }
+                    if let Some(deadline) = cfg.superstep_deadline {
+                        let p = progress.load(Ordering::Relaxed);
+                        if p != last_progress {
+                            last_progress = p;
+                            last_advance = Instant::now();
+                        } else if last_advance.elapsed() >= deadline {
+                            break Outcome::Wedged(format!(
+                                "watchdog: no superstep progress within {deadline:?}",
+                            ));
+                        }
                     }
                 }
             };

@@ -3,13 +3,14 @@
 //!
 //! The shape mirrors the single-node engine's self-healing loop
 //! (`gpsa-core::engine`): one *attempt* spins up the whole fleet, a
-//! select loop watches for the report, a failure escalation, or a
-//! watchdog stall, and a failed attempt is torn down, rolled back to the
-//! last committed barrier, and retried with exponential backoff. The
-//! cluster-specific pieces live here: failures are attributed to a
-//! *node* (so recovery can simulate that node's restart by reopening its
-//! on-disk state), and rollback is driven by the cluster manifest — the
-//! only authority on which barrier *every* node completed.
+//! wait loop watches one channel for the report or a failure
+//! escalation, and a watchdog for a stall, and a failed attempt is torn
+//! down, rolled back to the last committed barrier, and retried with
+//! exponential backoff. The cluster-specific pieces live here: failures
+//! are attributed to a *node* (so recovery can simulate that node's
+//! restart by reopening its on-disk state), and rollback is driven by
+//! the cluster manifest — the only authority on which barrier *every*
+//! node completed.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -22,10 +23,18 @@ use gpsa_graph::DiskCsr;
 use crate::cluster::ClusterError;
 use crate::manifest::ClusterManifest;
 
-/// What a failed attempt reports, attributed by origin so recovery knows
-/// which node (if any) to restart.
+/// What one attempt's wait loop receives, all on one channel: the
+/// coordinator's end-of-run report, or a failure escalation attributed by
+/// origin so recovery knows which node (if any) to restart.
 #[derive(Debug)]
-pub(crate) enum Failure {
+pub(crate) enum AttemptEvent {
+    /// The coordinator finished. Per-superstep statistics travel through
+    /// [`SharedStats`] instead (appended only after each barrier's
+    /// manifest append, so rolled-back supersteps never double-count).
+    Done {
+        /// The value column holding the final values.
+        final_dispatch_col: u32,
+    },
     /// An actor on a node's system died; the node is considered crashed.
     Node {
         /// Index of the crashed node.
@@ -39,16 +48,6 @@ pub(crate) enum Failure {
         /// Human-readable cause.
         cause: String,
     },
-}
-
-impl Failure {
-    /// `(dead node, cause)` — `None` when no specific node crashed.
-    pub fn split(self) -> (Option<usize>, String) {
-        match self {
-            Failure::Node { node, cause } => (Some(node), cause),
-            Failure::Master { cause } => (None, cause),
-        }
-    }
 }
 
 /// Per-superstep statistics that survive recovery attempts. The

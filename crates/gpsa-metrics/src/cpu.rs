@@ -2,10 +2,14 @@
 //! (CPU utilization of the three systems).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+/// Lock `m`, re-entering it if a panicking holder poisoned it: a sample is
+/// one `push`, so the list is whole at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A snapshot of this process's cumulative CPU time (user + system, all
 /// threads), read from `/proc/self/stat`.
@@ -99,7 +103,7 @@ impl CpuMonitor {
                 while !stop2.load(Ordering::Relaxed) {
                     std::thread::sleep(interval);
                     if let Some(now) = ProcessCpu::snapshot() {
-                        samples2.lock().push(prev.cores_used_until(&now));
+                        lock(&samples2).push(prev.cores_used_until(&now));
                         prev = now;
                     }
                 }
@@ -124,7 +128,7 @@ impl CpuMonitor {
             at: Instant::now(),
         });
         let mean_cores = self.start.cores_used_until(&end);
-        let samples = self.samples.lock();
+        let samples = lock(&self.samples);
         let peak = samples.iter().cloned().fold(mean_cores, f64::max);
         let n_cpus = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -8,10 +8,10 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::Sender;
 use gpsa::programs::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gpsa::{Engine, EngineError, Termination};
 use gpsa_graph::GraphSnapshot;
@@ -434,7 +434,7 @@ pub struct JobTicket {
     pub timer: Timer,
     /// Where the final [`JobResponse`] (or error) goes; the connection
     /// thread blocks on the other end.
-    pub reply: Sender<SubmitReply>,
+    pub reply: SyncSender<SubmitReply>,
     /// Set by the connection thread when the submitter goes away; the
     /// scheduler reaps cancelled tickets instead of running them.
     pub cancel: CancelToken,

@@ -35,13 +35,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use std::collections::HashSet;
 
 use actor::{Actor, Addr, Ctx};
-use crossbeam_channel::Sender;
 use gpsa::{Engine, EngineError};
 use gpsa_graph::{DeltaBatch, GraphSnapshot};
 use gpsa_metrics::timer::Timer;
@@ -81,17 +81,17 @@ pub enum SchedulerMsg {
         /// On-disk CSR path.
         path: PathBuf,
         /// Result + stats snapshot.
-        reply: Sender<(Result<GraphInfo, ServeError>, ServerStats)>,
+        reply: SyncSender<(Result<GraphInfo, ServeError>, ServerStats)>,
     },
     /// Snapshot the resident graphs.
     ListGraphs {
         /// Rows + stats snapshot.
-        reply: Sender<(Vec<GraphInfo>, ServerStats)>,
+        reply: SyncSender<(Vec<GraphInfo>, ServerStats)>,
     },
     /// Snapshot the counters.
     GetStats {
         /// The snapshot.
-        reply: Sender<ServerStats>,
+        reply: SyncSender<ServerStats>,
     },
     /// A connection was shed for stalling mid-frame (bookkeeping only).
     NoteShed,
@@ -108,7 +108,7 @@ pub enum SchedulerMsg {
         /// The additions or removals.
         batch: DeltaBatch,
         /// Result + stats snapshot.
-        reply: Sender<(Result<GraphInfo, ServeError>, ServerStats)>,
+        reply: SyncSender<(Result<GraphInfo, ServeError>, ServerStats)>,
     },
     /// Fold a graph's delta overlay into a fresh CSR as a new epoch. The
     /// rewrite runs on a background thread against a pinned snapshot;
@@ -117,7 +117,7 @@ pub enum SchedulerMsg {
         /// Graph to compact.
         graph_id: String,
         /// Answered when the compaction commits (or fails).
-        reply: Sender<(Result<GraphInfo, ServeError>, ServerStats)>,
+        reply: SyncSender<(Result<GraphInfo, ServeError>, ServerStats)>,
     },
     /// A background compaction rewrite finished; commit or abandon it.
     FinishCompact {
@@ -126,7 +126,7 @@ pub enum SchedulerMsg {
         /// Whether the CSR rewrite itself succeeded.
         result: Result<(), ServeError>,
         /// The original requester, answered after the commit.
-        reply: Sender<(Result<GraphInfo, ServeError>, ServerStats)>,
+        reply: SyncSender<(Result<GraphInfo, ServeError>, ServerStats)>,
     },
     /// A runner finished (successfully or not); always sent, even when
     /// the job panicked, so runner capacity can never leak.
@@ -207,7 +207,9 @@ impl TenantState {
 enum IdemState {
     /// The keyed job is queued or running; resubmissions of the key park
     /// their reply channels here and are all answered when it resolves.
-    InFlight { waiters: Vec<Sender<SubmitReply>> },
+    InFlight {
+        waiters: Vec<SyncSender<SubmitReply>>,
+    },
     /// The keyed job committed; resubmissions resolve through the result
     /// cache under this key (and fall back to a fresh run if the entry
     /// was evicted).
@@ -254,8 +256,8 @@ pub struct Scheduler {
 /// A reply channel nobody listens on, for replayed tickets: the client
 /// that submitted the original job is gone, so the result only needs to
 /// reach the cache and the idempotency map.
-fn dead_reply() -> Sender<SubmitReply> {
-    crossbeam_channel::bounded(1).0
+fn dead_reply() -> SyncSender<SubmitReply> {
+    sync_channel(1).0
 }
 
 impl Scheduler {
@@ -974,7 +976,7 @@ impl Scheduler {
     fn start_compact(
         &mut self,
         graph_id: String,
-        reply: Sender<(Result<GraphInfo, ServeError>, ServerStats)>,
+        reply: SyncSender<(Result<GraphInfo, ServeError>, ServerStats)>,
         ctx: &mut Ctx<'_, Self>,
     ) {
         if self.compacting.contains(&graph_id) {
@@ -1219,7 +1221,7 @@ impl Actor for Scheduler {
                     self.auto_compactions += 1;
                     // Nobody is waiting on an auto-compaction; the commit
                     // itself arrives through FinishCompact regardless.
-                    let dead = crossbeam_channel::bounded(1).0;
+                    let dead = sync_channel(1).0;
                     self.start_compact(graph_id, dead, ctx);
                 }
             }

@@ -67,12 +67,12 @@
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use actor::{Addr, System};
-use crossbeam_channel::bounded;
 use gpsa_graph::{DeltaBatch, Edge};
 use gpsa_metrics::timer::Timer;
 
@@ -378,7 +378,7 @@ fn graph_info_json(info: &GraphInfo) -> Json {
 /// scheduler path that would carry one (the protocol promises counters
 /// in every response).
 fn fetch_stats(shared: &Shared) -> Option<ServerStats> {
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     shared
         .scheduler
         .send(SchedulerMsg::GetStats { reply: tx })
@@ -408,7 +408,7 @@ fn handle_request(
         },
         "register_graph" => handle_register(req, shared),
         "list_graphs" => {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             if shared
                 .scheduler
                 .send(SchedulerMsg::ListGraphs { reply: tx })
@@ -460,7 +460,7 @@ fn handle_register(req: &Json, shared: &Shared) -> Json {
         let err = ServeError::BadRequest("register_graph needs path".to_string());
         return error_frame(&err, fetch_stats(shared).as_ref());
     };
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let msg = SchedulerMsg::RegisterGraph {
         graph_id: graph_id.to_string(),
         path: path.into(),
@@ -479,9 +479,7 @@ fn handle_register(req: &Json, shared: &Shared) -> Json {
 /// shared tail of `register_graph`, `add_edges`, `remove_edges`, and
 /// `compact`, which all answer with the graph's (possibly new) registry
 /// row.
-fn graph_info_reply(
-    rx: crossbeam_channel::Receiver<(Result<GraphInfo, ServeError>, ServerStats)>,
-) -> Json {
+fn graph_info_reply(rx: Receiver<(Result<GraphInfo, ServeError>, ServerStats)>) -> Json {
     match rx.recv() {
         Ok((Ok(info), stats)) => graph_info_json(&info)
             .set("ok", Json::Bool(true))
@@ -538,7 +536,7 @@ fn handle_mutate(req: &Json, shared: &Shared, remove: bool) -> Json {
     } else {
         DeltaBatch::Add(edges)
     };
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let msg = SchedulerMsg::Mutate {
         graph_id: graph_id.to_string(),
         batch,
@@ -558,7 +556,7 @@ fn handle_compact(req: &Json, shared: &Shared) -> Json {
         let err = ServeError::BadRequest("compact needs graph_id".to_string());
         return error_frame(&err, fetch_stats(shared).as_ref());
     };
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let msg = SchedulerMsg::Compact {
         graph_id: graph_id.to_string(),
         reply: tx,
@@ -613,7 +611,7 @@ fn handle_submit(
         .map(str::to_string)
         .unwrap_or_else(|| default_tenant.to_string());
     let want_stream = req.get("stream").and_then(Json::as_bool).unwrap_or(false);
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = sync_channel(1);
     let cancel = CancelToken::new();
     // job_id 0 is a placeholder: the scheduler assigns real ids (it owns
     // the counter so recovery can resume numbering above the journal).
@@ -645,14 +643,14 @@ fn handle_submit(
     let reply = loop {
         match rx.recv_timeout(DISCONNECT_POLL) {
             Ok(reply) => break reply,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 if peer_gone(stream) {
                     cancel.cancel();
                     let _ = shared.scheduler.send(SchedulerMsg::CancelSweep);
                     return Action::Close;
                 }
             }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+            Err(RecvTimeoutError::Disconnected) => {
                 return Action::Respond(error_frame(
                     &ServeError::Engine("scheduler dropped the job reply".to_string()),
                     None,

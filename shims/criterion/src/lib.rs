@@ -1,11 +1,11 @@
 //! Offline shim for the subset of `criterion` this workspace uses.
 //!
-//! See `shims/parking_lot/src/lib.rs` for why these exist. The statistics
-//! engine is replaced with a plain warmup + timed-iterations loop that
-//! prints mean time per iteration (and derived throughput) to stdout.
-//! Good enough to keep `cargo bench` runnable and the bench sources
-//! compiling; the serious, gated numbers come from the repo's own
-//! `bench_*` binaries, which never used criterion.
+//! See the root `Cargo.toml` (`[workspace.dependencies]`) for why these
+//! exist. The statistics engine is replaced with a plain warmup +
+//! timed-iterations loop that prints mean time per iteration (and derived
+//! throughput) to stdout. Good enough to keep `cargo bench` runnable and
+//! the bench sources compiling; the serious, gated numbers come from the
+//! repo's own `bench_*` binaries, which never used criterion.
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -1,11 +1,11 @@
 //! Offline shim for the subset of the `libc` crate this workspace uses.
 //!
-//! See `shims/parking_lot/src/lib.rs` for why these exist. Hand-written
-//! FFI declarations against the system C library (which rustc links
-//! anyway) plus the constants the mmap/metrics code touches. Values are
-//! the Linux x86-64 ABI ones; this workspace only targets that platform
-//! (the real crate would be restored the moment the build environment
-//! regains registry access).
+//! See the root `Cargo.toml` (`[workspace.dependencies]`) for why these
+//! exist. Hand-written FFI declarations against the system C library
+//! (which rustc links anyway) plus the constants the mmap/metrics code
+//! touches. Values are the Linux x86-64 ABI ones; this workspace only
+//! targets that platform (the real crate would be restored the moment the
+//! build environment regains registry access).
 
 #![allow(non_camel_case_types)]
 

@@ -1,15 +1,16 @@
 //! Offline shim for the subset of `proptest` this workspace uses.
 //!
-//! See `shims/parking_lot/src/lib.rs` for why these exist. This is a
-//! seeded-random property runner, not a port: each `proptest!` test runs
-//! `cases` iterations with a deterministic per-case RNG (seed = fixed
-//! golden-ratio mix of the case index), generating inputs through the
-//! same `Strategy` combinator surface the tests already use (integer
-//! ranges, tuples, `collection::vec`, `any::<T>()`, `prop_map`,
-//! `prop_flat_map`, `sample::Index`). There is **no shrinking**: a
-//! failing case panics with the case number, and determinism makes it
-//! reproducible. That trades minimal counterexamples for a zero-dependency
-//! build; the property coverage itself is unchanged.
+//! See the root `Cargo.toml` (`[workspace.dependencies]`) for why these
+//! exist. This is a seeded-random property runner, not a port: each
+//! `proptest!` test runs `cases` iterations with a deterministic per-case
+//! RNG (seed = fixed golden-ratio mix of the case index), generating
+//! inputs through the same `Strategy` combinator surface the tests
+//! already use (integer ranges, tuples, `collection::vec`, `any::<T>()`,
+//! `prop_map`, `prop_flat_map`, `sample::Index`). There is **no
+//! shrinking**: a failing case panics with the case number, and
+//! determinism makes it reproducible. That trades minimal counterexamples
+//! for a zero-dependency build; the property coverage itself is
+//! unchanged.
 
 pub mod test_runner {
     /// Per-test configuration. Only `cases` is consulted; the other

@@ -1,11 +1,12 @@
 //! Offline shim for the subset of `rand` 0.8 this workspace uses.
 //!
-//! See `shims/parking_lot/src/lib.rs` for why these exist. Everything in
-//! this repo seeds explicitly (`StdRng::seed_from_u64`) and draws via
-//! `gen`/`gen_range`, so the shim is a seeded splitmix64/xoshiro-style
-//! generator with those two entry points. The bit streams differ from
-//! upstream rand — all consumers are generators/tests that only need
-//! determinism for a fixed seed, not upstream-identical streams.
+//! See the root `Cargo.toml` (`[workspace.dependencies]`) for why these
+//! exist. Everything in this repo seeds explicitly
+//! (`StdRng::seed_from_u64`) and draws via `gen`/`gen_range`, so the shim
+//! is a seeded splitmix64/xoshiro-style generator with those two entry
+//! points. The bit streams differ from upstream rand — all consumers are
+//! generators/tests that only need determinism for a fixed seed, not
+//! upstream-identical streams.
 
 use std::ops::{Range, RangeInclusive};
 
