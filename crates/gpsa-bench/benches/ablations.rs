@@ -2,8 +2,7 @@
 //!
 //! * flag-based inactive-vertex skipping vs dense dispatch (late BFS
 //!   supersteps are where the paper's BFS wins come from);
-//! * mod vs range compute routing, uniform vs edge-balanced dispatch
-//!   intervals (paper §V-A);
+//! * edge-balanced vs strided ("mod") dispatch intervals (paper §V-A);
 //! * CSR with inlined degrees vs separate degree lookups (paper Fig. 4);
 //! * mmap streaming vs explicit buffered reads (paper §IV-C).
 
@@ -11,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::io::Read;
 
 use gpsa::programs::Bfs;
-use gpsa::{
-    Engine, EngineConfig, GraphMeta, IntervalStrategy, RouterStrategy, Termination, VertexProgram,
-};
+use gpsa::{Engine, EngineConfig, GraphMeta, IntervalStrategy, Termination, VertexProgram};
 use gpsa_graph::datasets::Dataset;
 use gpsa_graph::{generate, preprocess, DiskCsr, VertexId};
 
@@ -90,31 +87,12 @@ fn bench_partitioning(c: &mut Criterion) {
     let root = gpsa_bench::bfs_root(&el);
     let mut g = c.benchmark_group("partitioning");
     g.sample_size(10);
-    for (tag, router, intervals) in [
-        (
-            "mod+uniform",
-            RouterStrategy::Mod,
-            IntervalStrategy::Uniform,
-        ),
-        (
-            "mod+edge_balanced",
-            RouterStrategy::Mod,
-            IntervalStrategy::EdgeBalanced,
-        ),
-        (
-            "range+edge_balanced",
-            RouterStrategy::Range,
-            IntervalStrategy::EdgeBalanced,
-        ),
-        (
-            "mod+strided",
-            RouterStrategy::Mod,
-            IntervalStrategy::Strided,
-        ),
+    for (tag, intervals) in [
+        ("edge_balanced", IntervalStrategy::EdgeBalanced),
+        ("strided", IntervalStrategy::Strided),
     ] {
         g.bench_function(tag, |b| {
             let mut config = EngineConfig::new(workdir(tag));
-            config.router = router;
             config.intervals = intervals;
             let engine = Engine::new(config);
             b.iter(|| engine.run_edge_list(el.clone(), "g", Bfs { root }).unwrap());

@@ -1,7 +1,8 @@
 //! The compute actor (paper Algorithm 3).
 //!
-//! A compute actor owns a disjoint set of vertices (defined by the
-//! [`crate::Router`]) and is the only writer of their update-column slots.
+//! A compute actor owns a disjoint set of vertices (computer `i` of `k`
+//! owns every `v` with `v % k == i`, the paper's default routing) and is
+//! the only writer of their update-column slots.
 //! It is purely message-driven: updates begin as soon as the first batch
 //! arrives, while dispatchers are still streaming — the overlap that
 //! motivates the paper.

@@ -10,13 +10,10 @@ use std::time::{Duration, Instant};
 use actor::System;
 
 use crate::computer::Computer;
-use crate::config::{EngineConfig, IntervalStrategy, RouterStrategy, Termination};
+use crate::config::{EngineConfig, IntervalStrategy, Termination};
 use crate::dispatcher::Dispatcher;
 use crate::manager::{AttemptEvent, Manager, ManagerMsg, ManagerReport};
-use crate::partition::{
-    edge_balanced_intervals, strided_assignments, uniform_intervals, DispatchAssignment, ModRouter,
-    RangeRouter, Router,
-};
+use crate::partition::{edge_balanced_intervals, strided_assignments, DispatchAssignment};
 use crate::program::{GraphMeta, VertexProgram};
 use crate::report::{RunOutcome, RunReport};
 use crate::slab::{MsgSlabPool, OverlapStats};
@@ -369,29 +366,21 @@ impl Engine {
             let _ = values.advise_hugepage();
         }
 
-        // Routing and vertex ownership are attempt-invariant.
-        let router: Arc<dyn Router> = match self.config.router {
-            RouterStrategy::Mod => Arc::new(ModRouter::new(self.config.n_computers)),
-            RouterStrategy::Range => Arc::new(RangeRouter::new(
-                self.config.n_computers,
-                graph.n_vertices(),
-            )),
-        };
+        // Vertex ownership is attempt-invariant: computer `v % k` owns `v`.
+        assert!(
+            self.config.n_computers > 0,
+            "need at least one compute actor"
+        );
         // Dense programs need each computer to sweep its owned vertices at
         // flush; sparse programs skip the sweep entirely (empty lists).
         let mut owned_template: Vec<Vec<u32>> = vec![Vec::new(); self.config.n_computers];
         if program.always_dispatch() {
+            let k = self.config.n_computers as u32;
             for v in 0..graph.n_vertices() as u32 {
-                owned_template[router.route(v)].push(v);
+                owned_template[(v % k) as usize].push(v);
             }
         }
         let assignments: Vec<DispatchAssignment> = match self.config.intervals {
-            IntervalStrategy::Uniform => {
-                uniform_intervals(graph.n_vertices(), self.config.n_dispatchers)
-                    .into_iter()
-                    .map(DispatchAssignment::Range)
-                    .collect()
-            }
             IntervalStrategy::EdgeBalanced => {
                 edge_balanced_intervals(&graph, self.config.n_dispatchers)
                     .into_iter()
@@ -503,7 +492,6 @@ impl Engine {
                         values: values.clone(),
                         meta,
                         assignment,
-                        router: router.clone(),
                         computers: computers.clone(),
                         manager: manager.clone(),
                         buffers: (0..self.config.n_computers)
@@ -525,8 +513,6 @@ impl Engine {
                         step_slab_wait_us: 0,
                         scratch: Vec::new(),
                         always_dispatch: program.always_dispatch(),
-                        mode: self.config.dispatch_mode,
-                        density_threshold: self.config.sparse_density_threshold,
                         sparse_now: false,
                         advised_random: false,
                         #[cfg(feature = "chaos")]

@@ -17,7 +17,7 @@
 //!   whose value carries the *not-updated* flag, call the program's
 //!   [`VertexProgram::gen_msg`] and route messages to compute actors
 //!   (Algorithm 2).
-//! * **Compute** actors own disjoint vertex sets (mod/range routing); for
+//! * **Compute** actors own disjoint vertex sets (`v mod k` routing); for
 //!   every message they fold [`VertexProgram::compute`] into the vertex's
 //!   slot in the update column of the mmap'ed value file (Algorithm 3).
 //! * The **value file** stores two copies of every value side by side; the
@@ -66,14 +66,11 @@ mod value;
 mod value_file;
 mod word;
 
-pub use config::{DispatchMode, EngineConfig, IntervalStrategy, RouterStrategy, Termination};
+pub use config::{EngineConfig, IntervalStrategy, Termination};
 pub use engine::{Engine, EngineError};
 pub use frontier::Frontier;
 pub use kernels::FoldCtx;
-pub use partition::{
-    edge_balanced_intervals, strided_assignments, uniform_intervals, DispatchAssignment, ModRouter,
-    RangeRouter, Router,
-};
+pub use partition::{edge_balanced_intervals, strided_assignments, DispatchAssignment};
 pub use program::{GraphMeta, VertexProgram};
 pub use report::{PhaseBreakdown, RunOutcome, RunReport};
 pub use slab::{split_run, MsgSlab, MsgSlabPool};

@@ -1,12 +1,10 @@
-//! Work assignment (paper §V-A): vertex intervals for dispatch actors and
-//! vertex → compute-actor routing.
+//! Work assignment (paper §V-A): vertex intervals for dispatch actors.
 //!
 //! "The vertices can be read by the dispatching worker with a simple mod
 //! algorithm. For efficiency, we can assign vertices to the dispatcher
-//! worker by the average edges... There are also different strategies to
-//! deliver a message to a specific computing worker. The easiest way is an
-//! average assignment by mod according to the vertex id. ... we provide
-//! interfaces for the developer to substitute the default implementation."
+//! worker by the average edges... The easiest way is an average
+//! assignment by mod according to the vertex id." Messages route to
+//! compute actor `v mod n_computers`, computed inline where they are sent.
 
 use std::ops::Range;
 
@@ -80,83 +78,6 @@ pub fn strided_assignments(n_vertices: usize, k: usize) -> Vec<DispatchAssignmen
             offset: i as u32,
             stride: k as u32,
             n_vertices: n_vertices as u32,
-        })
-        .collect()
-}
-
-/// Maps a destination vertex to the compute actor that owns it. Must be a
-/// function (same vertex → same actor) so each slot of the value file has
-/// a single writer.
-pub trait Router: Send + Sync + 'static {
-    /// Index of the owning compute actor, `< n_computers`.
-    fn route(&self, v: VertexId) -> usize;
-    /// Number of compute actors routed over.
-    fn n_computers(&self) -> usize;
-}
-
-/// The paper's default: `v mod k`.
-#[derive(Debug, Clone)]
-pub struct ModRouter {
-    k: usize,
-}
-
-impl ModRouter {
-    /// Route over `k` compute actors.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one compute actor");
-        ModRouter { k }
-    }
-}
-
-impl Router for ModRouter {
-    #[inline(always)]
-    fn route(&self, v: VertexId) -> usize {
-        v as usize % self.k
-    }
-    fn n_computers(&self) -> usize {
-        self.k
-    }
-}
-
-/// Contiguous-range routing: vertex ids are split into `k` equal ranges.
-/// Better value-file write locality, but skewed graphs can unbalance it.
-#[derive(Debug, Clone)]
-pub struct RangeRouter {
-    k: usize,
-    per: usize,
-}
-
-impl RangeRouter {
-    /// Route `n_vertices` over `k` compute actors in contiguous ranges.
-    pub fn new(k: usize, n_vertices: usize) -> Self {
-        assert!(k > 0, "need at least one compute actor");
-        RangeRouter {
-            k,
-            per: n_vertices.div_ceil(k).max(1),
-        }
-    }
-}
-
-impl Router for RangeRouter {
-    #[inline(always)]
-    fn route(&self, v: VertexId) -> usize {
-        (v as usize / self.per).min(self.k - 1)
-    }
-    fn n_computers(&self) -> usize {
-        self.k
-    }
-}
-
-/// Split `0..n_vertices` into `k` near-equal contiguous intervals (the
-/// paper's "simple" dispatch assignment).
-pub fn uniform_intervals(n_vertices: usize, k: usize) -> Vec<Range<VertexId>> {
-    assert!(k > 0);
-    let per = n_vertices.div_ceil(k).max(1);
-    (0..k)
-        .map(|i| {
-            let start = (i * per).min(n_vertices) as VertexId;
-            let end = ((i + 1) * per).min(n_vertices) as VertexId;
-            start..end
         })
         .collect()
 }
@@ -255,47 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn mod_router_covers_all_computers() {
-        let r = ModRouter::new(4);
-        let mut hit = [false; 4];
-        for v in 0..100u32 {
-            let i = r.route(v);
-            assert!(i < 4);
-            hit[i] = true;
-        }
-        assert!(hit.iter().all(|&h| h));
-    }
-
-    #[test]
-    fn range_router_is_contiguous_and_total() {
-        let r = RangeRouter::new(3, 10);
-        let owners: Vec<usize> = (0..10u32).map(|v| r.route(v)).collect();
-        assert_eq!(owners, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
-        // Ids past n_vertices still clamp into range.
-        assert_eq!(r.route(1000), 2);
-    }
-
-    #[test]
-    fn uniform_intervals_partition_the_universe() {
-        for (n, k) in [(10, 3), (0, 2), (5, 8), (100, 1)] {
-            let iv = uniform_intervals(n, k);
-            assert_eq!(iv.len(), k);
-            let mut covered = 0usize;
-            let mut expect = 0 as VertexId;
-            for r in &iv {
-                assert!(r.start <= r.end);
-                assert_eq!(r.start, expect.min(n as VertexId));
-                expect = r.end;
-                covered += (r.end - r.start) as usize;
-            }
-            assert_eq!(covered, n, "n={n} k={k}");
-        }
-    }
-
-    #[test]
     fn edge_balanced_intervals_balance_skewed_graphs() {
-        // A star graph: vertex 0 has all the edges. Uniform intervals give
-        // dispatcher 0 everything; edge-balanced must give later
+        // A star graph: vertex 0 has all the edges. Equal id ranges would
+        // give dispatcher 0 everything; edge-balanced must give later
         // dispatchers nearly-empty ranges too, but the first interval must
         // stop right after the hub.
         let csr = materialize("star.gcsr", generate::star(1000));

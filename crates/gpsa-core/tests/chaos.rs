@@ -182,21 +182,31 @@ fn sparse_dispatch_survives_mid_superstep_recovery() {
     // skip live vertices and the final values would diverge from the
     // fault-free baseline — so bit-identity here is exactly the claim
     // that the bitmap is restored consistently with the recovered column.
-    use gpsa::DispatchMode;
-    let el = generate::symmetrize(&generate::grid(16, 17));
+    //
+    // A 64x8 grid keeps BFS's wavefront at most 8 vertices wide, under
+    // 5% of either dispatcher's ~256-vertex interval, so every superstep
+    // of the fault-free schedule — each faulted superstep's first attempt
+    // included — is dispatched sparse. (A replay is dense: recovery makes
+    // every vertex of the surviving column active.)
+    let el = generate::symmetrize(&generate::grid(64, 8));
     let baseline = {
         let dir = workdir("sparse-base");
         let path = materialize(&dir, &el);
-        let mut c = fault_free_config(&dir);
-        c.dispatch_mode = DispatchMode::Sparse;
-        Engine::new(c).run(&path, Bfs { root: 0 }).unwrap().values
+        let report = Engine::new(fault_free_config(&dir))
+            .run(&path, Bfs { root: 0 })
+            .unwrap();
+        assert!(
+            report.frontier_density.iter().all(|&d| d <= 8.0 / 512.0),
+            "frontier wider than the wave: {:?}",
+            report.frontier_density
+        );
+        report.values
     };
     for seed in [7u64, 31] {
         let plan = Arc::new(FaultPlan::scripted(seed, 4, 6));
         let dir = workdir(&format!("sparse-{seed}"));
         let path = materialize(&dir, &el);
         let mut c = chaos_config(&dir, &plan);
-        c.dispatch_mode = DispatchMode::Sparse;
         c.fault_plan = Some(plan);
         let report = Engine::new(c).run(&path, Bfs { root: 0 }).unwrap();
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
@@ -204,6 +214,8 @@ fn sparse_dispatch_survives_mid_superstep_recovery() {
             report.values, baseline,
             "seed {seed}: sparse recovery diverged"
         );
+        assert!(report.retry_attempts >= 1, "seed {seed}: no fault fired");
+        assert!(report.edges_skipped > 0, "seed {seed}: no sparse superstep");
     }
     // Same plan shape under a mid-compute torn commit: the replayed
     // superstep dispatches from a conservatively refilled bitmap, which
@@ -212,7 +224,6 @@ fn sparse_dispatch_survives_mid_superstep_recovery() {
     let dir = workdir("sparse-torn");
     let path = materialize(&dir, &el);
     let mut c = chaos_config(&dir, &plan);
-    c.dispatch_mode = DispatchMode::Sparse;
     c.fault_plan = Some(plan);
     let report = Engine::new(c).run(&path, Bfs { root: 0 }).unwrap();
     assert_eq!(report.outcome, RunOutcome::Completed);
@@ -221,6 +232,7 @@ fn sparse_dispatch_survives_mid_superstep_recovery() {
         "torn-commit sparse recovery diverged"
     );
     assert_eq!(report.retry_attempts, 1, "{:?}", report.retry_causes);
+    assert!(report.edges_skipped > 0, "torn commit: no sparse superstep");
 }
 
 #[test]

@@ -225,7 +225,7 @@ fn indegree_counts_in_one_superstep() {
 
 #[test]
 fn all_strategy_combinations_agree() {
-    use gpsa::{IntervalStrategy, RouterStrategy};
+    use gpsa::IntervalStrategy;
     let el = generate::symmetrize(&generate::rmat(
         300,
         1500,
@@ -234,23 +234,13 @@ fn all_strategy_combinations_agree() {
     ));
     let path = csr_for("strategies", &el);
     let expect = ref_cc(&el);
-    for router in [RouterStrategy::Mod, RouterStrategy::Range] {
-        for intervals in [
-            IntervalStrategy::Uniform,
-            IntervalStrategy::EdgeBalanced,
-            IntervalStrategy::Strided,
-        ] {
-            for (d, c) in [(1, 1), (2, 3), (4, 2)] {
-                let mut config = EngineConfig::small(workdir("strategies")).with_actors(d, c);
-                config.router = router;
-                config.intervals = intervals;
-                let engine = Engine::new(config);
-                let report = engine.run(&path, ConnectedComponents).unwrap();
-                assert_eq!(
-                    report.values, expect,
-                    "router {router:?} intervals {intervals:?} d={d} c={c}"
-                );
-            }
+    for intervals in [IntervalStrategy::EdgeBalanced, IntervalStrategy::Strided] {
+        for (d, c) in [(1, 1), (2, 3), (4, 2)] {
+            let mut config = EngineConfig::small(workdir("strategies")).with_actors(d, c);
+            config.intervals = intervals;
+            let engine = Engine::new(config);
+            let report = engine.run(&path, ConnectedComponents).unwrap();
+            assert_eq!(report.values, expect, "intervals {intervals:?} d={d} c={c}");
         }
     }
 }
@@ -320,20 +310,15 @@ fn resume_without_crash_just_reruns_conservatively() {
 fn edge_balanced_intervals_balance_dispatcher_load() {
     // Paper §V-A: assigning vertices "by the average edges" makes every
     // dispatcher send about the same number of messages. Verify via the
-    // per-dispatcher counters on a skewed graph where uniform intervals
+    // per-dispatcher counters on a skewed graph where equal id ranges
     // would be badly lopsided.
-    use gpsa::IntervalStrategy;
     let el = generate::rmat(2000, 20_000, generate::RmatParams::default(), 3);
     let path = csr_for("balance", &el);
-    let run = |strategy: IntervalStrategy| {
-        let mut config = EngineConfig::small(workdir("balance")).with_actors(4, 2);
-        config.intervals = strategy;
-        config.termination = Termination::Supersteps(3);
-        Engine::new(config)
-            .run(&path, gpsa::programs::PageRank::default())
-            .unwrap()
-    };
-    let balanced = run(IntervalStrategy::EdgeBalanced);
+    let mut config = EngineConfig::small(workdir("balance")).with_actors(4, 2);
+    config.termination = Termination::Supersteps(3);
+    let balanced = Engine::new(config)
+        .run(&path, gpsa::programs::PageRank::default())
+        .unwrap();
     assert_eq!(balanced.dispatcher_messages.len(), 4);
     let total: u64 = balanced.dispatcher_messages.iter().sum();
     assert_eq!(
@@ -348,14 +333,19 @@ fn edge_balanced_intervals_balance_dispatcher_load() {
         balanced.dispatcher_messages
     );
 
-    let uniform = run(IntervalStrategy::Uniform);
-    let u_max = *uniform.dispatcher_messages.iter().max().unwrap() as f64;
-    let u_min = *uniform.dispatcher_messages.iter().min().unwrap() as f64;
+    // PageRank sends one message per out-edge per superstep, so four
+    // equal id ranges would each send their out-edge count.
+    let per = el.n_vertices.div_ceil(4);
+    let mut equal_ranges = [0u64; 4];
+    for e in &el.edges {
+        equal_ranges[e.src as usize / per] += 1;
+    }
+    let u_max = *equal_ranges.iter().max().unwrap() as f64;
+    let u_min = *equal_ranges.iter().min().unwrap() as f64;
     assert!(
         u_max / u_min.max(1.0) > max / min.max(1.0),
-        "uniform intervals on a skewed R-MAT should be more lopsided: \
-         uniform {:?} vs balanced {:?}",
-        uniform.dispatcher_messages,
+        "equal id ranges on a skewed R-MAT should be more lopsided: \
+         equal ranges {equal_ranges:?} vs balanced {:?}",
         balanced.dispatcher_messages
     );
 }

@@ -467,7 +467,7 @@ fn merge_targets(
 
 /// One immutable version of a live graph: a base [`DiskCsr`] plus a
 /// sealed [`DeltaOverlay`]. Mirrors the `DiskCsr` read API the engine
-/// uses, so every dispatch mode streams the mutated graph directly.
+/// uses, so dense sweeps and sparse seeks stream the mutated graph directly.
 ///
 /// I/O accounting (`words_in_range`, cursor `words_read`/`bytes_read`)
 /// counts **base** records only — overlay targets live in memory and

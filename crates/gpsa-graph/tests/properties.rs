@@ -145,9 +145,9 @@ proptest! {
 
     #[test]
     fn uniform_intervals_tile(n in 0usize..500, k in 1usize..20) {
-        // (Re-exported from gpsa-core's partition module in spirit; here we
-        // check the analogous graph-side invariant on edge-balanced shards
-        // via DiskCsr ranges.)
+        // Equal-width id ranges tiling 0..n: their edge counts must add
+        // up to the whole graph's, which the edge-balanced interval cut
+        // and the dispatchers' skipped-word accounting rely on.
         let el = generate::erdos_renyi(n.max(2), n * 2 + 4, 1);
         let dir = tmpdir();
         let path = dir.join("g.gcsr");

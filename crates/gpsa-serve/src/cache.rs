@@ -90,38 +90,25 @@ impl CacheKey {
 }
 
 fn outcome_to_json(o: &JobOutcome) -> Json {
-    Json::obj()
+    let head = Json::obj()
         .set("value_type", Json::str(o.value_type.as_str()))
-        .set("values_u32", Json::U32s(o.values_u32.clone()))
-        .set("supersteps", Json::num(o.supersteps))
-        .set("messages", Json::num(o.messages))
-        .set("edges_streamed", Json::num(o.edges_streamed))
-        .set("edges_skipped", Json::num(o.edges_skipped))
-        .set(
-            "mean_frontier_density",
-            Json::float(o.mean_frontier_density),
-        )
-        .set("retry_attempts", Json::num(o.retry_attempts as u64))
+        .set("values_u32", Json::U32s(o.values_u32.clone()));
+    o.set_counters(head)
 }
 
 fn outcome_from_json(j: &Json) -> Option<JobOutcome> {
-    Some(JobOutcome {
-        value_type: ValueType::parse(j.get("value_type")?.as_str()?)?,
-        values_u32: j.get("values_u32")?.to_u32s()?,
-        supersteps: j.get("supersteps")?.as_u64()?,
-        messages: j.get("messages")?.as_u64()?,
-        // Dispatch-I/O counters arrived after the spill format shipped;
-        // entries journaled by older servers simply read back as 0.
-        edges_streamed: j.get("edges_streamed").and_then(Json::as_u64).unwrap_or(0),
-        edges_skipped: j.get("edges_skipped").and_then(Json::as_u64).unwrap_or(0),
-        mean_frontier_density: j
-            .get("mean_frontier_density")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        retry_attempts: j.get("retry_attempts")?.as_u64()? as u32,
-        // Phase timings describe one run, not the cached value set.
-        phases: Vec::new(),
-    })
+    // Every spill has carried these three; the dispatch-I/O counters
+    // arrived after the format shipped and read back as 0 when missing.
+    for k in ["supersteps", "messages", "retry_attempts"] {
+        j.get(k)?.as_u64()?;
+    }
+    let value_type = ValueType::parse(j.get("value_type")?.as_str()?)?;
+    // Phase timings describe one run, not the cached value set.
+    Some(JobOutcome::from_counters(
+        j,
+        value_type,
+        j.get("values_u32")?.to_u32s()?,
+    ))
 }
 
 struct Slot {
@@ -470,6 +457,64 @@ mod tests {
         assert!((got.mean_frontier_density - 0.5).abs() < 1e-9);
         assert_eq!(got.retry_attempts, 1);
         assert_eq!(*c.get(&key("h", "root=3", 1)).unwrap().values_u32, vec![9]);
+    }
+
+    #[test]
+    fn a_spill_needs_its_original_counters_and_a_reply_needs_none() {
+        let full = outcome_to_json(&JobOutcome {
+            value_type: ValueType::U32,
+            values_u32: Arc::new(vec![7]),
+            supersteps: 3,
+            messages: 40,
+            edges_streamed: 50,
+            edges_skipped: 60,
+            mean_frontier_density: 0.5,
+            retry_attempts: 2,
+            phases: Vec::new(),
+        });
+        let without = |drop: &str| match &full {
+            Json::Obj(fields) => {
+                Json::Obj(fields.iter().filter(|(k, _)| k != drop).cloned().collect())
+            }
+            _ => unreachable!(),
+        };
+        let counters = |o: &JobOutcome| {
+            let density = o.mean_frontier_density;
+            (
+                o.supersteps,
+                o.messages,
+                o.edges_streamed,
+                o.edges_skipped,
+                density,
+                o.retry_attempts,
+            )
+        };
+        assert_eq!(
+            counters(&outcome_from_json(&full).unwrap()),
+            (3, 40, 50, 60, 0.5, 2)
+        );
+        // A reply frame reads any missing counter as 0.
+        let reply = |k: &str| {
+            counters(&JobOutcome::from_counters(
+                &without(k),
+                ValueType::U32,
+                Arc::new(vec![7]),
+            ))
+        };
+        assert_eq!(reply("supersteps"), (0, 40, 50, 60, 0.5, 2));
+        assert_eq!(reply("retry_attempts"), (3, 40, 50, 60, 0.5, 0));
+        // A spill is rejected without the counters it has always carried,
+        // and reads the later dispatch-I/O counters as 0.
+        for k in ["supersteps", "messages", "retry_attempts"] {
+            assert!(
+                outcome_from_json(&without(k)).is_none(),
+                "spill without {k}"
+            );
+        }
+        let spill = |k: &str| counters(&outcome_from_json(&without(k)).unwrap());
+        assert_eq!(spill("edges_streamed"), (3, 40, 0, 60, 0.5, 2));
+        assert_eq!(spill("edges_skipped"), (3, 40, 50, 0, 0.5, 2));
+        assert_eq!(spill("mean_frontier_density"), (3, 40, 50, 60, 0.0, 2));
     }
 
     #[test]

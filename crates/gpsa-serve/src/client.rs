@@ -564,33 +564,17 @@ impl Client {
                             values.len()
                         )));
                     }
-                    let u = |k: &str| frame.get(k).and_then(Json::as_u64).unwrap_or(0);
+                    // Streamed replies trade timing detail for bounded
+                    // memory; the final frame carries counters only.
+                    let outcome = JobOutcome::from_counters(&frame, value_type, Arc::new(values));
+                    let (queue_wait, run_time, stats) = JobResponse::trailer_from_json(&frame);
                     return Ok(JobResponse {
                         job_id,
                         cache_hit,
-                        outcome: Arc::new(JobOutcome {
-                            value_type,
-                            values_u32: Arc::new(values),
-                            supersteps: u("supersteps"),
-                            messages: u("messages"),
-                            edges_streamed: u("edges_streamed"),
-                            edges_skipped: u("edges_skipped"),
-                            mean_frontier_density: frame
-                                .get("mean_frontier_density")
-                                .and_then(Json::as_f64)
-                                .unwrap_or(0.0),
-                            retry_attempts: u("retry_attempts") as u32,
-                            // Streamed replies trade timing detail for
-                            // bounded memory; the final frame carries
-                            // counters only.
-                            phases: Vec::new(),
-                        }),
-                        queue_wait: Duration::from_micros(u("queue_wait_us")),
-                        run_time: Duration::from_micros(u("run_us")),
-                        stats: frame
-                            .get("stats")
-                            .map(ServerStats::from_json)
-                            .unwrap_or_default(),
+                        outcome: Arc::new(outcome),
+                        queue_wait,
+                        run_time,
+                        stats,
                     });
                 }
                 other => {

@@ -283,6 +283,45 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// Append the six run counters to `j`, in the order every record that
+    /// carries them (reply frame, stream end frame, cache spill) uses.
+    pub(crate) fn set_counters(&self, j: Json) -> Json {
+        j.set("supersteps", Json::num(self.supersteps))
+            .set("messages", Json::num(self.messages))
+            .set("edges_streamed", Json::num(self.edges_streamed))
+            .set("edges_skipped", Json::num(self.edges_skipped))
+            .set(
+                "mean_frontier_density",
+                Json::float(self.mean_frontier_density),
+            )
+            .set("retry_attempts", Json::num(self.retry_attempts as u64))
+    }
+
+    /// Decode a record written by [`set_counters`](Self::set_counters)
+    /// around the given values, with no phase timings. A missing counter
+    /// reads as 0 (a record from before it existed).
+    pub(crate) fn from_counters(
+        j: &Json,
+        value_type: ValueType,
+        values_u32: Arc<Vec<u32>>,
+    ) -> JobOutcome {
+        let u = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
+        JobOutcome {
+            value_type,
+            values_u32,
+            supersteps: u("supersteps"),
+            messages: u("messages"),
+            edges_streamed: u("edges_streamed"),
+            edges_skipped: u("edges_skipped"),
+            mean_frontier_density: j
+                .get("mean_frontier_density")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
+            retry_attempts: u("retry_attempts") as u32,
+            phases: Vec::new(),
+        }
+    }
+
     /// The values decoded as `f32` (PageRank), if that is their type.
     pub fn values_f32(&self) -> Option<Vec<f32>> {
         match self.value_type {
@@ -310,49 +349,54 @@ pub struct JobResponse {
 }
 
 impl JobResponse {
+    /// Append the trailer both reply frames (monolithic and stream end)
+    /// close with: queue wait, run time, server stats.
+    pub(crate) fn set_trailer(&self, j: Json) -> Json {
+        j.set(
+            "queue_wait_us",
+            Json::num(self.queue_wait.as_micros() as u64),
+        )
+        .set("run_us", Json::num(self.run_time.as_micros() as u64))
+        .set("stats", self.stats.to_json())
+    }
+
+    /// Decode a [`set_trailer`](Self::set_trailer) trailer as
+    /// `(queue_wait, run_time, stats)`; missing fields read as zero.
+    pub(crate) fn trailer_from_json(j: &Json) -> (Duration, Duration, ServerStats) {
+        let us = |k: &str| Duration::from_micros(j.get(k).and_then(Json::as_u64).unwrap_or(0));
+        let stats = j
+            .get("stats")
+            .map(ServerStats::from_json)
+            .unwrap_or_default();
+        (us("queue_wait_us"), us("run_us"), stats)
+    }
+
     /// Render as the protocol's success frame.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let head = Json::obj()
             .set("ok", Json::Bool(true))
             .set("job_id", Json::num(self.job_id))
             .set("cache_hit", Json::Bool(self.cache_hit))
             .set("value_type", Json::str(self.outcome.value_type.as_str()))
-            .set("values_u32", Json::U32s(self.outcome.values_u32.clone()))
-            .set("supersteps", Json::num(self.outcome.supersteps))
-            .set("messages", Json::num(self.outcome.messages))
-            .set("edges_streamed", Json::num(self.outcome.edges_streamed))
-            .set("edges_skipped", Json::num(self.outcome.edges_skipped))
-            .set(
-                "mean_frontier_density",
-                Json::float(self.outcome.mean_frontier_density),
-            )
-            .set(
-                "retry_attempts",
-                Json::num(self.outcome.retry_attempts as u64),
-            )
-            .set(
-                "phases",
-                Json::Arr(
-                    self.outcome
-                        .phases
-                        .iter()
-                        .map(|p| {
-                            Json::Arr(vec![
-                                Json::num(p.dispatch_us),
-                                Json::num(p.fold_us),
-                                Json::num(p.commit_us),
-                                Json::num(p.slab_wait_us),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "queue_wait_us",
-                Json::num(self.queue_wait.as_micros() as u64),
-            )
-            .set("run_us", Json::num(self.run_time.as_micros() as u64))
-            .set("stats", self.stats.to_json())
+            .set("values_u32", Json::U32s(self.outcome.values_u32.clone()));
+        let body = self.outcome.set_counters(head).set(
+            "phases",
+            Json::Arr(
+                self.outcome
+                    .phases
+                    .iter()
+                    .map(|p| {
+                        Json::Arr(vec![
+                            Json::num(p.dispatch_us),
+                            Json::num(p.fold_us),
+                            Json::num(p.commit_us),
+                            Json::num(p.slab_wait_us),
+                        ])
+                    })
+                    .collect(),
+            ),
+        );
+        self.set_trailer(body)
     }
 
     /// Parse a success frame (the client-side inverse of
@@ -386,29 +430,15 @@ impl JobResponse {
                     .collect()
             })
             .unwrap_or_default();
+        let outcome = JobOutcome::from_counters(j, value_type, values_u32);
+        let (queue_wait, run_time, stats) = JobResponse::trailer_from_json(j);
         Ok(JobResponse {
             job_id: u("job_id"),
             cache_hit: j.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
-            outcome: Arc::new(JobOutcome {
-                value_type,
-                values_u32,
-                supersteps: u("supersteps"),
-                messages: u("messages"),
-                edges_streamed: u("edges_streamed"),
-                edges_skipped: u("edges_skipped"),
-                mean_frontier_density: j
-                    .get("mean_frontier_density")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-                retry_attempts: u("retry_attempts") as u32,
-                phases,
-            }),
-            queue_wait: Duration::from_micros(u("queue_wait_us")),
-            run_time: Duration::from_micros(u("run_us")),
-            stats: j
-                .get("stats")
-                .map(ServerStats::from_json)
-                .unwrap_or_default(),
+            outcome: Arc::new(JobOutcome { phases, ..outcome }),
+            queue_wait,
+            run_time,
+            stats,
         })
     }
 }

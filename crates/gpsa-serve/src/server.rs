@@ -713,29 +713,12 @@ fn write_stream(stream: &mut TcpStream, resp: &JobResponse, shared: &Shared) -> 
         write_frame(stream, &frame)?;
         n_chunks += 1;
     }
-    let end = Json::obj()
+    let head = Json::obj()
         .set("ok", Json::Bool(true))
         .set("stream", Json::str("end"))
         .set("job_id", Json::num(resp.job_id))
-        .set("n_chunks", Json::num(n_chunks))
-        .set("supersteps", Json::num(resp.outcome.supersteps))
-        .set("messages", Json::num(resp.outcome.messages))
-        .set("edges_streamed", Json::num(resp.outcome.edges_streamed))
-        .set("edges_skipped", Json::num(resp.outcome.edges_skipped))
-        .set(
-            "mean_frontier_density",
-            Json::float(resp.outcome.mean_frontier_density),
-        )
-        .set(
-            "retry_attempts",
-            Json::num(resp.outcome.retry_attempts as u64),
-        )
-        .set(
-            "queue_wait_us",
-            Json::num(resp.queue_wait.as_micros() as u64),
-        )
-        .set("run_us", Json::num(resp.run_time.as_micros() as u64))
-        .set("stats", resp.stats.to_json());
+        .set("n_chunks", Json::num(n_chunks));
+    let end = resp.set_trailer(resp.outcome.set_counters(head));
     write_frame(stream, &end)
 }
 

@@ -208,12 +208,19 @@ fn scratch_budget_bounds_and_releases() {
     assert!(again.is_ok(), "released budget must re-admit: {again:?}");
 }
 
-/// The fairness acceptance test: a light tenant's p99 latency under a
-/// heavy tenant's 10x flood stays within a fixed multiple of its solo
-/// p99 — deficit round-robin serves it next-ish, never behind the whole
-/// flood backlog.
+/// The fairness acceptance test, as a count: under a heavy tenant's 10x
+/// flood, each light job waits behind at most `HEAVY_AHEAD_BOUND`
+/// heavy jobs — deficit round-robin serves it next-ish, never behind the
+/// whole flood backlog, which a FIFO queue would put (>= 24 jobs) ahead
+/// of it.
 #[test]
-fn light_tenant_p99_survives_a_10x_flood() {
+fn light_tenant_waits_behind_a_bounded_share_of_a_10x_flood() {
+    // One runner, equal weights: the heavy job on the runner when the
+    // light job arrives (1), then one DRR quantum for the heavy tenant,
+    // which sits ahead of the newly ringed light tenant (2), plus one
+    // heavy job that may finish between the `before` snapshot and the
+    // submit reaching the scheduler (3).
+    const HEAVY_AHEAD_BOUND: u64 = 3;
     let dir = test_dir("fairness");
     let csr = build_csr(&dir, generate::cycle(1024));
     let work = dir.join("serve");
@@ -233,16 +240,7 @@ fn light_tenant_p99_survives_a_10x_flood() {
         damping: 0.85,
         supersteps: 20,
     };
-    let light_submit = |c: &mut Client| {
-        let t0 = Instant::now();
-        c.submit(&SubmitRequest::new("g", spec()).with_tenant("light"))
-            .unwrap();
-        t0.elapsed()
-    };
-
-    // Solo baseline: 8 sequential light jobs on an idle server.
-    let mut light = Client::connect(addr).unwrap();
-    let solo_p99 = (0..8).map(|_| light_submit(&mut light)).max().unwrap();
+    let heavy_completed = |s: &ServerStats| s.tenant("heavy").map_or(0, |t| t.completed);
 
     // The flood: 32 heavy connections, 4 jobs each, all one tenant.
     let flood: Vec<_> = (0..32)
@@ -258,12 +256,27 @@ fn light_tenant_p99_survives_a_10x_flood() {
         .collect();
     wait_for(&mut admin, |s| s.queue_depth >= 24, "the flood to back up");
 
-    // Light tenant under contention: same 8 sequential jobs.
-    let contended_p99 = (0..8).map(|_| light_submit(&mut light)).max().unwrap();
+    // Light tenant under contention: 8 sequential jobs, each counting the
+    // heavy jobs that completed between just before its submit and its
+    // reply.
+    let mut light = Client::connect(addr).unwrap();
+    let heavy_ahead: Vec<u64> = (0..8)
+        .map(|_| {
+            let before = heavy_completed(&admin.stats().unwrap());
+            let reply = light
+                .submit(&SubmitRequest::new("g", spec()).with_tenant("light"))
+                .unwrap();
+            heavy_completed(&reply.stats) - before
+        })
+        .collect();
 
+    let mid = admin.stats().unwrap();
+    assert!(
+        heavy_ahead.iter().all(|&n| n <= HEAVY_AHEAD_BOUND),
+        "light jobs waited behind {heavy_ahead:?} heavy jobs (bound {HEAVY_AHEAD_BOUND})"
+    );
     // The flood must still be deep when the measurement ends, or the
     // tail jobs weren't actually contended.
-    let mid = admin.stats().unwrap();
     assert!(
         mid.queue_depth >= 8,
         "flood drained before the light jobs finished: {mid:?}"
@@ -271,18 +284,9 @@ fn light_tenant_p99_survives_a_10x_flood() {
     for t in flood {
         t.join().unwrap();
     }
-
-    // A FIFO queue would park each light job behind the >=24-deep heavy
-    // backlog (~24x a job's service time). Fair queuing bounds the wait
-    // to about one quantum of the other tenant's work.
-    let bound = (solo_p99 * 6).max(Duration::from_millis(250));
-    assert!(
-        contended_p99 <= bound,
-        "light p99 {contended_p99:?} exceeded {bound:?} (solo p99 {solo_p99:?})"
-    );
     let stats = admin.stats().unwrap();
     assert_eq!(stats.tenant("light").unwrap().shed_quota, 0);
-    assert_eq!(stats.tenant("light").unwrap().completed, 16);
+    assert_eq!(stats.tenant("light").unwrap().completed, 8);
     assert_eq!(stats.tenant("heavy").unwrap().completed, 128);
 }
 
