@@ -70,7 +70,9 @@ pub use config::{EngineConfig, IntervalStrategy, Termination};
 pub use engine::{Engine, EngineError};
 pub use frontier::Frontier;
 pub use kernels::FoldCtx;
-pub use partition::{edge_balanced_intervals, strided_assignments, DispatchAssignment};
+pub use partition::{
+    balanced_cut, edge_balanced_intervals, strided_assignments, DispatchAssignment,
+};
 pub use program::{GraphMeta, VertexProgram};
 pub use report::{PhaseBreakdown, RunOutcome, RunReport};
 pub use slab::{split_run, MsgSlab, MsgSlabPool};

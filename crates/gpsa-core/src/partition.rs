@@ -86,19 +86,36 @@ pub fn strided_assignments(n_vertices: usize, k: usize) -> Vec<DispatchAssignmen
 /// (the paper's "assign vertices to the dispatcher worker by the average
 /// edges to ensure that every dispatcher worker sends exactly the same
 /// number of messages"). Takes the merged live-graph view so a delta
-/// overlay's added/removed edges count toward the balance.
-///
-/// Each interval but the last ends at the first vertex boundary where it
-/// holds at least `⌈E / k⌉` edges (or at `n`). The cut is a binary search
-/// over prefix edge counts ([`GraphSnapshot::edges_in_range`]), so the
-/// cost is `O(k log n)` lookups, not one per vertex.
+/// overlay's added/removed edges count toward the balance. The cut is
+/// [`balanced_cut`] over prefix edge counts
+/// ([`GraphSnapshot::edges_in_range`]).
 pub fn edge_balanced_intervals(csr: &GraphSnapshot, k: usize) -> Vec<Range<VertexId>> {
+    balanced_cut(0..csr.n_vertices() as VertexId, k, |v| {
+        csr.edges_in_range(0..v)
+    })
+}
+
+/// Cut `range` into `k` contiguous parts balanced by a count over vertex
+/// ids: `prefix(v)` is the count below `v` (any monotone prefix, e.g.
+/// edges out of `0..v`), so part `a..b` holds `prefix(b) - prefix(a)`.
+/// The engine's dispatch intervals, the cluster's node ranges and each
+/// node's dispatcher intervals are all cut here.
+///
+/// Each part but the last ends at the first vertex boundary where it
+/// holds at least `⌈total / k⌉` (at least 1), or at `range.end`; parts
+/// after a heavy vertex may be empty. The cut is a binary search per
+/// part, so the cost is `O(k log n)` prefix lookups, not one per vertex.
+pub fn balanced_cut(
+    range: Range<VertexId>,
+    k: usize,
+    prefix: impl Fn(VertexId) -> u64,
+) -> Vec<Range<VertexId>> {
     assert!(k > 0);
-    let n = csr.n_vertices();
-    let target = (csr.n_edges() as u64).div_ceil(k as u64).max(1);
-    let prefix = |v: usize| csr.edges_in_range(0..v as VertexId);
-    let mut intervals = Vec::with_capacity(k);
-    let mut start = 0;
+    let (first, n) = (range.start as usize, range.end as usize);
+    let prefix = |v: usize| prefix(v as VertexId);
+    let target = (prefix(n) - prefix(first)).div_ceil(k as u64).max(1);
+    let mut parts = Vec::with_capacity(k);
+    let mut start = first;
     for _ in 1..k {
         let goal = prefix(start) + target;
         // The smallest `end` in `start + 1..=n` with `prefix(end) >= goal`,
@@ -113,11 +130,11 @@ pub fn edge_balanced_intervals(csr: &GraphSnapshot, k: usize) -> Vec<Range<Verte
             }
         }
         let end = lo.min(n);
-        intervals.push(start as VertexId..end as VertexId);
+        parts.push(start as VertexId..end as VertexId);
         start = end;
     }
-    intervals.push(start as VertexId..n as VertexId);
-    intervals
+    parts.push(start as VertexId..n as VertexId);
+    parts
 }
 
 #[cfg(test)]
@@ -225,6 +242,90 @@ mod tests {
         }
         intervals.push(start as VertexId..n as VertexId);
         intervals
+    }
+
+    /// `edge_balanced_intervals` as it was before the cut moved into
+    /// [`balanced_cut`]: the engine's intervals must not change.
+    fn pre_balanced_cut_intervals(csr: &GraphSnapshot, k: usize) -> Vec<Range<VertexId>> {
+        let n = csr.n_vertices();
+        let target = (csr.n_edges() as u64).div_ceil(k as u64).max(1);
+        let prefix = |v: usize| csr.edges_in_range(0..v as VertexId);
+        let mut intervals = Vec::with_capacity(k);
+        let mut start = 0;
+        for _ in 1..k {
+            let goal = prefix(start) + target;
+            let (mut lo, mut hi) = (start + 1, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if prefix(mid) < goal {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let end = lo.min(n);
+            intervals.push(start as VertexId..end as VertexId);
+            start = end;
+        }
+        intervals.push(start as VertexId..n as VertexId);
+        intervals
+    }
+
+    #[test]
+    fn the_engine_intervals_are_unchanged_on_the_seeded_graph_matrix() {
+        let mut graphs = vec![
+            ("star", generate::star(1000)),
+            ("chain", generate::chain(300)),
+            ("cycle", generate::cycle(17)),
+            ("grid", generate::grid(24, 24)),
+            ("empty", gpsa_graph::EdgeList::with_vertices(Vec::new(), 50)),
+        ];
+        for seed in 1..=4 {
+            graphs.push((
+                "rmat",
+                generate::rmat(2000, 20_000, generate::RmatParams::default(), seed),
+            ));
+            graphs.push(("er", generate::erdos_renyi(1000, 10_000, seed)));
+        }
+        for (i, (name, el)) in graphs.into_iter().enumerate() {
+            let csr = materialize(&format!("matrix-{i}.gcsr"), el);
+            for k in [1, 2, 3, 4, 5, 8, 16, 64] {
+                assert_eq!(
+                    edge_balanced_intervals(&csr, k),
+                    pre_balanced_cut_intervals(&csr, k),
+                    "{name} #{i} k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn balanced_cut_of_a_sub_range_tiles_it_by_its_own_count() {
+        // Weights 0, 1, 2, ... over ids 10..30; the count below `v` is
+        // the sum of the weights below it.
+        let prefix = |v: VertexId| u64::from(v) * u64::from(v.saturating_sub(1)) / 2;
+        for k in [1, 2, 3, 7, 40] {
+            let parts = balanced_cut(10..30, k, prefix);
+            assert_eq!(parts.len(), k);
+            assert_eq!(parts[0].start, 10);
+            assert_eq!(parts[k - 1].end, 30);
+            for w in parts.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            let total = prefix(30) - prefix(10);
+            let target = total.div_ceil(k as u64);
+            for p in &parts[..k - 1] {
+                let held = prefix(p.end) - prefix(p.start);
+                // Each closed part reaches the target, and is the
+                // shortest that does (or ran out of vertices).
+                assert!(held >= target || p.end == 30, "k {k} {p:?}");
+                if !p.is_empty() && p.end > p.start + 1 {
+                    assert!(prefix(p.end - 1) - prefix(p.start) < target);
+                }
+            }
+        }
+        // An empty range cuts into empty parts.
+        assert_eq!(balanced_cut(5..5, 3, prefix), vec![5..5, 5..5, 5..5]);
     }
 
     #[test]

@@ -30,20 +30,25 @@ use crate::recovery::{AttemptEvent, SharedStats};
 use crate::traffic::TrafficMatrix;
 
 /// Global routing: vertex → (node, compute actor).
+///
+/// Node `i` owns the contiguous id range between its cut points. The cut
+/// balances out-edges (see [`crate::cluster`]), so a range may be empty
+/// when a hub vertex holds more than `1/n` of the edges.
 #[derive(Debug, Clone)]
 pub(crate) struct DistRouter {
-    pub n_nodes: usize,
-    /// Vertices per node (the last node takes the remainder). A
-    /// `VertexId`, so the per-message routing divides in 32 bits, which
-    /// is cheaper than a 64-bit divide on x86-64.
-    pub per_node: VertexId,
+    /// The `n_nodes - 1` interior cut points, ascending: node `i` owns
+    /// `bounds[i - 1]..bounds[i]`, with `0` and `n_vertices` at the ends.
+    pub bounds: Vec<VertexId>,
+    pub n_vertices: VertexId,
     pub computers_per_node: usize,
 }
 
 impl DistRouter {
+    /// The node whose range holds `v`; ids past the vertex space go to
+    /// the last node.
     #[inline]
     pub fn node_of_vertex(&self, v: VertexId) -> usize {
-        ((v / self.per_node) as usize).min(self.n_nodes - 1)
+        self.bounds.partition_point(|&b| b <= v)
     }
 
     /// Index into the global computer list.
@@ -59,15 +64,10 @@ impl DistRouter {
     }
 
     /// Vertex range owned by `node`.
-    pub fn node_range(&self, node: usize, n_vertices: usize) -> Range<VertexId> {
-        let per = self.per_node as usize;
-        let lo = (node * per).min(n_vertices);
-        let hi = if node + 1 == self.n_nodes {
-            n_vertices
-        } else {
-            ((node + 1) * per).min(n_vertices)
-        };
-        lo as VertexId..hi as VertexId
+    pub fn node_range(&self, node: usize) -> Range<VertexId> {
+        let lo = if node == 0 { 0 } else { self.bounds[node - 1] };
+        let hi = self.bounds.get(node).copied().unwrap_or(self.n_vertices);
+        lo..hi
     }
 }
 
@@ -537,13 +537,17 @@ impl<P: VertexProgram> Actor for Coordinator<P> {
 mod router_tests {
     use super::*;
 
+    fn router(bounds: &[VertexId], n: VertexId, computers_per_node: usize) -> DistRouter {
+        DistRouter {
+            bounds: bounds.to_vec(),
+            n_vertices: n,
+            computers_per_node,
+        }
+    }
+
     #[test]
     fn routing_is_total_and_consistent() {
-        let r = DistRouter {
-            n_nodes: 3,
-            per_node: 10,
-            computers_per_node: 2,
-        };
+        let r = router(&[10, 20], 30, 2);
         for v in 0..30u32 {
             let node = r.node_of_vertex(v);
             assert!(node < 3);
@@ -553,39 +557,15 @@ mod router_tests {
                 node,
                 "computer lives on the vertex's node"
             );
-            assert!(r.node_range(node, 30).contains(&v));
+            assert!(r.node_range(node).contains(&v));
         }
         // Overflow ids clamp to the last node.
         assert_eq!(r.node_of_vertex(1000), 2);
     }
 
     #[test]
-    fn node_ranges_tile_the_vertex_space() {
-        for (n, nodes, per) in [(30usize, 3usize, 10u32), (31, 3, 11), (5, 4, 2), (7, 7, 1)] {
-            let r = DistRouter {
-                n_nodes: nodes,
-                per_node: per,
-                computers_per_node: 1,
-            };
-            let mut covered = 0usize;
-            let mut expect_start = 0u32;
-            for node in 0..nodes {
-                let range = r.node_range(node, n);
-                assert_eq!(range.start, expect_start.min(n as u32));
-                expect_start = range.end;
-                covered += (range.end - range.start) as usize;
-            }
-            assert_eq!(covered, n, "n={n} nodes={nodes} per={per}");
-        }
-    }
-
-    #[test]
     fn computers_within_a_node_partition_its_vertices() {
-        let r = DistRouter {
-            n_nodes: 2,
-            per_node: 8,
-            computers_per_node: 3,
-        };
+        let r = router(&[8], 16, 3);
         // Same vertex always routes to the same computer; computers of a
         // node cover exactly the node's vertices.
         let mut seen = std::collections::HashMap::new();
@@ -596,5 +576,46 @@ mod router_tests {
         }
         assert!(seen.keys().all(|&c| c < 6));
         assert_eq!(seen.values().sum::<i32>(), 16);
+    }
+
+    #[test]
+    fn node_ranges_tile_the_vertex_space() {
+        // Even, skewed, empty-middle, empty-tail and single-node cuts.
+        let cases: [(&[VertexId], VertexId); 6] = [
+            (&[10, 20], 30),
+            (&[3, 29], 31),
+            (&[1, 1, 5], 7),
+            (&[1, 7, 7], 7),
+            (&[0], 4),
+            (&[], 9),
+        ];
+        for (bounds, n) in cases {
+            let r = router(bounds, n, 1);
+            let mut expect_start = 0;
+            for node in 0..=bounds.len() {
+                let range = r.node_range(node);
+                assert_eq!(range.start, expect_start, "{bounds:?} node {node}");
+                assert!(range.start <= range.end);
+                expect_start = range.end;
+            }
+            assert_eq!(expect_start, n, "{bounds:?}");
+        }
+    }
+
+    #[test]
+    fn routing_agrees_with_the_node_ranges() {
+        for bounds in [&[10u32, 20][..], &[1, 1, 5], &[0, 0], &[6, 6]] {
+            let r = router(bounds, 7.max(bounds[bounds.len() - 1]), 2);
+            for node in 0..=bounds.len() {
+                for v in r.node_range(node) {
+                    assert_eq!(r.node_of_vertex(v), node, "{bounds:?} v {v}");
+                    let c = r.computer_of_vertex(v);
+                    assert_eq!(r.node_of_computer(c), node, "computer on the vertex's node");
+                    assert_eq!(c % 2, v as usize % 2, "v mod k inside the node");
+                }
+            }
+            // Ids past the vertex space go to the last node.
+            assert_eq!(r.node_of_vertex(1000), bounds.len());
+        }
     }
 }

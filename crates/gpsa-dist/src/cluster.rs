@@ -11,16 +11,27 @@
 //! — and retries with exponential backoff, up to
 //! [`ClusterConfig::max_node_retries`] times.
 //!
+//! Node ranges are cut by out-edges, not by vertex ids: node `i` owns a
+//! contiguous id range holding about `1/n` of the edges (the paper's
+//! "assign vertices ... by the average edges", §V-A, at node scale), and
+//! each node cuts its range the same way across its dispatchers. Both
+//! cuts are [`gpsa::balanced_cut`]. The node cut comes from the edge
+//! list's out-degree prefix, so it is a function of the graph: nothing
+//! about it is written to the manifest, and every recovery attempt of a
+//! run routes identically.
+//!
 //! Each node's CSR fragment is written once per graph: a [`Cluster`]
-//! keeps the fragments of its last run and reuses them while the edge
-//! list is equal (compared edge by edge, not by hash) and the fragment
-//! files are as it wrote them. The node count needs no check of its
-//! own: it is fixed by the configuration and the vertex count. A
-//! cluster of another size writing into the same directory changes the
-//! files, which the file check catches. Value shards and the manifest
-//! are created fresh on every run; the message-slab pool is kept too.
+//! keeps the fragments of its last run, and the cut that defines them,
+//! and reuses both while the edge list is equal (compared edge by edge,
+//! not by hash) and the fragment files are as it wrote them. The node
+//! count needs no check of its own: it is fixed by the configuration and
+//! the vertex count. A cluster of another size writing into the same
+//! directory changes the files, which the file check catches. Value
+//! shards and the manifest are created fresh on every run; the
+//! message-slab pool is kept too.
 
 use std::any::Any;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -266,6 +277,8 @@ pub struct Cluster {
 struct Fragments {
     /// The edge list they were cut from.
     edges: EdgeList,
+    /// Routing over the node cut that defines them.
+    router: Arc<DistRouter>,
     graphs: Vec<Arc<DiskCsr>>,
     /// `(length, mtime)` of each fragment file as written.
     stamps: Vec<(u64, SystemTime)>,
@@ -273,6 +286,40 @@ struct Fragments {
 
 fn fragment_path(work_dir: &Path, node: usize) -> PathBuf {
     work_dir.join(format!("node{node}.gcsr"))
+}
+
+/// The `n_nodes - 1` interior boundaries of the out-edge-balanced node
+/// cut of `edges`.
+fn node_cut(edges: &EdgeList, n_nodes: usize) -> Vec<VertexId> {
+    let mut prefix = Vec::with_capacity(edges.n_vertices + 1);
+    prefix.push(0u64);
+    let mut below = 0u64;
+    for d in edges.out_degrees() {
+        below += u64::from(d);
+        prefix.push(below);
+    }
+    let parts = gpsa::balanced_cut(0..edges.n_vertices as VertexId, n_nodes, |v| {
+        prefix[v as usize]
+    });
+    parts[1..].iter().map(|r| r.start).collect()
+}
+
+/// Each node's dispatcher intervals: its range cut by its fragment's
+/// out-edges, as the engine cuts its own dispatch intervals.
+fn dispatch_intervals(
+    router: &DistRouter,
+    graphs: &[Arc<DiskCsr>],
+    dispatchers_per_node: usize,
+) -> Vec<Vec<Range<VertexId>>> {
+    graphs
+        .iter()
+        .enumerate()
+        .map(|(node, graph)| {
+            gpsa::balanced_cut(router.node_range(node), dispatchers_per_node.max(1), |v| {
+                graph.edges_in_range(0..v)
+            })
+        })
+        .collect()
 }
 
 fn file_stamp(path: &Path) -> std::io::Result<(u64, SystemTime)> {
@@ -311,13 +358,14 @@ impl Cluster {
         &self.config
     }
 
-    /// Each node's CSR fragment (the out-edges of its vertex range):
-    /// the last run's when they fit `edges`, else freshly written.
+    /// Routing over the node cut, and each node's CSR fragment (the
+    /// out-edges of its vertex range): the last run's when they fit
+    /// `edges`, else a fresh cut and freshly written fragments.
     fn fragments(
         &self,
         edges: &EdgeList,
-        router: &DistRouter,
-    ) -> Result<Vec<Arc<DiskCsr>>, ClusterError> {
+        n_nodes: usize,
+    ) -> Result<(Arc<DistRouter>, Vec<Arc<DiskCsr>>), ClusterError> {
         let work_dir = &self.config.work_dir;
         // A panic mid-rebuild leaves `None` (set below before any file is
         // written), so a poisoned cache is still a valid one.
@@ -327,15 +375,20 @@ impl Cluster {
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(f) = cache.as_ref() {
             if f.fit(edges, work_dir) {
-                return Ok(f.graphs.clone());
+                return Ok((f.router.clone(), f.graphs.clone()));
             }
         }
         *cache = None;
         let n = edges.n_vertices;
-        let mut graphs = Vec::with_capacity(router.n_nodes);
-        let mut stamps = Vec::with_capacity(router.n_nodes);
-        for node in 0..router.n_nodes {
-            let range = router.node_range(node, n);
+        let router = Arc::new(DistRouter {
+            bounds: node_cut(edges, n_nodes),
+            n_vertices: n as VertexId,
+            computers_per_node: self.config.computers_per_node.max(1),
+        });
+        let mut graphs = Vec::with_capacity(n_nodes);
+        let mut stamps = Vec::with_capacity(n_nodes);
+        for node in 0..n_nodes {
+            let range = router.node_range(node);
             let frag_edges: Vec<Edge> = edges
                 .edges
                 .iter()
@@ -350,10 +403,11 @@ impl Cluster {
         }
         *cache = Some(Fragments {
             edges: edges.clone(),
+            router: router.clone(),
             graphs: graphs.clone(),
             stamps,
         });
-        Ok(graphs)
+        Ok((router, graphs))
     }
 
     /// The slab pool for a run sending `M` messages: the last run's when
@@ -382,11 +436,6 @@ impl Cluster {
         std::fs::create_dir_all(&cfg.work_dir)?;
         let n = edges.n_vertices;
         let n_nodes = cfg.n_nodes.min(n.max(1));
-        let router = Arc::new(DistRouter {
-            n_nodes,
-            per_node: n.div_ceil(n_nodes).clamp(1, VertexId::MAX as usize) as VertexId,
-            computers_per_node: cfg.computers_per_node.max(1),
-        });
         let meta = GraphMeta {
             n_vertices: n as u64,
             n_edges: edges.len() as u64,
@@ -394,13 +443,15 @@ impl Cluster {
         let program = Arc::new(program);
         let traffic = Arc::new(TrafficMatrix::new(n_nodes));
 
-        // Attempt-invariant state: per-node shards (CSR fragment of this
-        // node's out-edges + value shard over its vertex range) and the
-        // cluster manifest; the slab pool below also outlives attempts.
-        let graphs = self.fragments(edges, &router)?;
+        // Attempt-invariant state: the node cut, per-node shards (CSR
+        // fragment of this node's out-edges + value shard over its vertex
+        // range) and the cluster manifest; the slab pool below also
+        // outlives attempts.
+        let (router, graphs) = self.fragments(edges, n_nodes)?;
+        let intervals = dispatch_intervals(&router, &graphs, cfg.dispatchers_per_node);
         let mut shards: Vec<NodeShard> = Vec::with_capacity(n_nodes);
         for (node, graph) in graphs.into_iter().enumerate() {
-            let range = router.node_range(node, n);
+            let range = router.node_range(node);
             let csr_path = fragment_path(&cfg.work_dir, node);
             let vf_path = cfg.work_dir.join(format!("node{node}.gval"));
             let p = program.clone();
@@ -507,7 +558,7 @@ impl Cluster {
             // router's index space).
             let mut computers = Vec::with_capacity(n_nodes * cfg.computers_per_node);
             for node in 0..n_nodes {
-                let range = router.node_range(node, n);
+                let range = router.node_range(node);
                 for slot in 0..cfg.computers_per_node {
                     let owned: Vec<u32> = if program.always_dispatch() {
                         range
@@ -537,22 +588,17 @@ impl Cluster {
                 }
             }
 
-            // Dispatch actors: each node splits its own range uniformly.
+            // Dispatch actors, over each node's edge-balanced intervals.
             let mut dispatchers = Vec::with_capacity(n_nodes * cfg.dispatchers_per_node);
-            for node in 0..n_nodes {
-                let range = router.node_range(node, n);
-                let width = (range.end - range.start) as usize;
-                let per = width.div_ceil(cfg.dispatchers_per_node.max(1)).max(1);
-                for d in 0..cfg.dispatchers_per_node {
-                    let lo = (range.start as usize + d * per).min(range.end as usize) as u32;
-                    let hi = (lo as usize + per).min(range.end as usize) as u32;
+            for (node, node_intervals) in intervals.iter().enumerate() {
+                for interval in node_intervals {
                     dispatchers.push(node_systems[node].spawn(DistDispatcher {
                         node,
                         program: program.clone(),
                         graph: shards[node].graph.clone(),
                         values: shards[node].values.clone(),
                         meta,
-                        interval: lo..hi,
+                        interval: interval.clone(),
                         router: router.clone(),
                         computers: computers.clone(),
                         coordinator: coordinator.clone(),
@@ -727,5 +773,40 @@ impl Cluster {
             supersteps_rolled_back,
             retry_causes,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpsa_graph::generate;
+
+    #[test]
+    fn dispatchers_split_their_node_by_out_edges() {
+        // R-MAT piles edges onto low ids inside node 0's range too: an
+        // even id split of the range would hand its first dispatcher
+        // most of them.
+        let el = generate::rmat(4096, 40_000, generate::RmatParams::default(), 3);
+        let dir = std::env::temp_dir().join(format!("gpsa-dist-split-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cluster = Cluster::new(ClusterConfig::new(2, &dir));
+        let (router, graphs) = cluster.fragments(&el, 2).unwrap();
+        let intervals = dispatch_intervals(&router, &graphs, 2);
+        for (node, parts) in intervals.iter().enumerate() {
+            let range = router.node_range(node);
+            assert_eq!(parts.first().unwrap().start, range.start);
+            assert_eq!(parts.last().unwrap().end, range.end);
+            let node_edges = graphs[node].edges_in_range(range.clone());
+            for part in parts {
+                let share = graphs[node].edges_in_range(part.clone()) as f64 / node_edges as f64;
+                assert!(share <= 0.55, "node {node} {part:?} holds {share:.3}");
+            }
+            let mid = range.start + (range.end - range.start).div_ceil(2);
+            let even_split = graphs[node].edges_in_range(range.start..mid) as f64;
+            if node == 0 {
+                assert!(even_split / node_edges as f64 > 0.6, "skew inside node 0");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

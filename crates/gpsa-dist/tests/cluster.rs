@@ -310,3 +310,115 @@ fn node_kill_on_reused_fragments_recovers_bit_identical() {
     assert_eq!(cc.values, cc_oracle(&el));
     assert_eq!(fragment_stamps(&dir, 3), stamps, "fragments rewritten");
 }
+
+/// Each node's out-edge count under the cluster's cut rule: the node
+/// ranges are [`gpsa::balanced_cut`] over the out-degree prefix.
+fn out_edges_per_node(el: &EdgeList, nodes: usize) -> Vec<u64> {
+    let mut prefix = vec![0u64];
+    for d in el.out_degrees() {
+        prefix.push(prefix.last().unwrap() + u64::from(d));
+    }
+    gpsa::balanced_cut(0..el.n_vertices as u32, nodes, |v| prefix[v as usize])
+        .iter()
+        .map(|r| prefix[r.end as usize] - prefix[r.start as usize])
+        .collect()
+}
+
+#[test]
+fn node_ranges_balance_out_edges_on_a_skewed_graph() {
+    // R-MAT piles edges onto low ids: equal id ranges would hand node 0
+    // most of them. PageRank sends one message per out-edge per
+    // superstep, so a traffic row over the supersteps is exactly the
+    // node's out-edge count.
+    let el = generate::rmat(4096, 40_000, generate::RmatParams::default(), 3);
+    let e = el.len() as u64;
+    let steps = 3u64;
+    for nodes in [2usize, 4] {
+        let cluster = Cluster::new(
+            ClusterConfig::new(nodes, workdir(&format!("balance-{nodes}")))
+                .with_termination(Termination::Supersteps(steps)),
+        );
+        let report = cluster.run(&el, PageRank::default()).unwrap();
+        assert_eq!(report.supersteps, steps);
+        assert_eq!(report.traffic.total(), report.messages);
+        assert_eq!(report.messages, steps * e);
+        let rows = report.traffic.snapshot();
+        let sent: Vec<u64> = rows.iter().map(|row| row.iter().sum()).collect();
+        assert!(sent.iter().all(|s| s % steps == 0), "rows {sent:?}");
+        let per_node: Vec<u64> = sent.iter().map(|s| s / steps).collect();
+        assert_eq!(per_node, out_edges_per_node(&el, nodes));
+        for (node, &edges) in per_node.iter().enumerate() {
+            let share = edges as f64 / e as f64;
+            assert!(
+                share <= 1.1 / nodes as f64,
+                "{nodes} nodes: node {node} holds {share:.3} of the out-edges ({per_node:?})"
+            );
+        }
+        let equal_ids = el
+            .edges
+            .iter()
+            .filter(|edge| (edge.src as usize) < el.n_vertices.div_ceil(nodes))
+            .count() as f64;
+        assert!(
+            equal_ids / e as f64 > 1.5 / nodes as f64,
+            "the graph must be skewed for the test to mean anything"
+        );
+    }
+}
+
+/// A hub with three quarters of the edges, then a ring over 1..=13:
+/// on 3 or 4 nodes the hub overfills node 0's share, the ring fills the
+/// next, and the cut leaves the last node an empty range.
+fn hub_graph() -> EdgeList {
+    let n = 40u32;
+    let mut edges: Vec<Edge> = (1..n).map(|v| Edge::new(0, v)).collect();
+    edges.extend((1..=13).map(|v| Edge::new(v, v % 13 + 1)));
+    EdgeList::with_vertices(edges, n as usize)
+}
+
+#[test]
+fn a_node_with_an_empty_range_runs_bit_identical() {
+    let el = hub_graph();
+    for nodes in [3usize, 4] {
+        let per_node = out_edges_per_node(&el, nodes);
+        assert_eq!(per_node.last(), Some(&0), "{nodes} nodes: {per_node:?}");
+        let cluster = Cluster::new(ClusterConfig::new(nodes, workdir(&format!("hub-{nodes}"))));
+        let cc = cluster.run(&el, ConnectedComponents).unwrap();
+        assert_eq!(cc.values, cc_oracle(&el), "{nodes} nodes");
+        let bfs = cluster.run(&el, Bfs { root: 5 }).unwrap();
+        let expect = SyncEngine::new(Termination::Quiescence {
+            max_supersteps: 10_000,
+        })
+        .run(&el, Bfs { root: 5 })
+        .values;
+        assert_eq!(bfs.values, expect, "{nodes} nodes");
+    }
+}
+
+#[cfg(feature = "chaos")]
+#[test]
+fn a_node_kill_on_an_empty_range_recovers_bit_identical() {
+    use gpsa::fault::{FaultPlan, FaultSpec};
+    use std::sync::Arc;
+
+    // BFS from inside the ring takes a superstep per ring hop, so the
+    // kill lands mid-run.
+    let el = hub_graph();
+    let empty = 3;
+    assert_eq!(out_edges_per_node(&el, 4)[empty], 0);
+    let plan = FaultPlan::new(29).with(FaultSpec::NodeKill {
+        node: empty as u32,
+        superstep: 3,
+    });
+    let cluster =
+        Cluster::new(ClusterConfig::new(4, workdir("hub-kill")).with_fault_plan(Arc::new(plan)));
+    let bfs = cluster.run(&el, Bfs { root: 5 }).unwrap();
+    assert_eq!(bfs.node_restarts, 1, "causes: {:?}", bfs.retry_causes);
+    assert!(bfs.retry_causes[0].contains(&format!("node {empty}")));
+    let expect = SyncEngine::new(Termination::Quiescence {
+        max_supersteps: 10_000,
+    })
+    .run(&el, Bfs { root: 5 })
+    .values;
+    assert_eq!(bfs.values, expect);
+}

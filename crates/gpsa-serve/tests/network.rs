@@ -52,7 +52,7 @@ fn stalled_mid_header_client_is_shed_while_others_are_served() {
     let work = dir.join("serve");
     let config = ServeConfig::small(&work)
         .with_engine(engine_template(&work))
-        .with_frame_read_timeout(Duration::from_millis(200));
+        .with_frame_read_timeout(Duration::from_secs(1));
     let handle = start(config).unwrap();
     let addr = handle.addr();
 
@@ -61,18 +61,16 @@ fn stalled_mid_header_client_is_shed_while_others_are_served() {
     stalled.write_all(&[0u8, 0u8]).unwrap();
     stalled.flush().unwrap();
 
-    // The healthy half: round trips must keep completing promptly while
-    // the stalled connection ages toward its deadline.
+    // The healthy half is served while the stalled connection is still
+    // open: the stats reply is produced before the shed, which a server
+    // blocked on the stalled header could not do.
     let mut client = Client::connect(addr).unwrap();
-    for _ in 0..10 {
-        let t = Instant::now();
-        client.ping().unwrap();
-        assert!(
-            t.elapsed() < Duration::from_secs(2),
-            "healthy client starved behind a stalled one"
-        );
-        std::thread::sleep(Duration::from_millis(30));
-    }
+    client.ping().unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats.conns_shed, 0,
+        "healthy client answered only after the shed: {stats:?}"
+    );
 
     // The server shed the stalled connection and counted it.
     let deadline = Instant::now() + Duration::from_secs(10);
